@@ -1,8 +1,7 @@
 //! Grid engine throughput: serial vs parallel execution of a reduced
-//! Fig. 3 sweep. The parallel speedup recorded in BENCH_grid.json comes
-//! from this bench (the full-grid figure is measured by timing the
-//! `fig3_training_time` binary under `VOLTASCOPE_THREADS=1` vs the
-//! default).
+//! Fig. 3 sweep. End-to-end sweep timings with a per-layer host-time
+//! ledger come from the `perfbench/` package that `BENCHMARK.json`
+//! declares; this bench isolates the executor alone.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use voltascope::grid::{Executor, GridSpec};

@@ -209,6 +209,30 @@ impl Cell {
     }
 }
 
+/// Static cost rank of a cell: a relative-workload weight (calibrated
+/// against the simulated epoch times of the zoo CNNs — LeNet lightest,
+/// VGG-16 heaviest) scaled by batch size and GPU count. Used by the
+/// sweep service to compute a request's claimed cells
+/// longest-expected-first, so the sweep's makespan-floor cell
+/// (Inception-v3, batch 64, 8 GPUs on the fig3 grid) starts before the
+/// dozens of cheap cells enumerated ahead of it. Monotone per workload
+/// in batch and GPU count; unknown data workloads rank mid-pack.
+pub(crate) fn cost_rank(cell: &Cell) -> u64 {
+    let weight: u64 = match cell.workload.name() {
+        "LeNet" => 1,
+        "AlexNet" => 6,
+        "GoogLeNet" => 18,
+        "ResNet" => 24,
+        "GPT2-Small" => 28,
+        "Inception-v3" => 32,
+        "VGG-16" => 40,
+        _ => 16,
+    };
+    weight
+        .saturating_mul(cell.batch as u64)
+        .saturating_mul(cell.gpus as u64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +248,37 @@ mod tests {
             scaling: ScalingMode::Strong,
             platform: Platform::Dgx1,
             fault: FaultScenario::Healthy,
+        }
+    }
+
+    #[test]
+    fn cost_rank_scales_with_workload_batch_and_gpus() {
+        let base = cost_rank(&cell(Workload::LeNet, CommMethod::Nccl, 16, 1));
+        assert_eq!(base, 16);
+        // Heavier workload, bigger batch, more GPUs all rank higher.
+        assert!(cost_rank(&cell(Workload::ResNet, CommMethod::Nccl, 16, 1)) > base);
+        assert!(cost_rank(&cell(Workload::LeNet, CommMethod::Nccl, 64, 1)) > base);
+        assert!(cost_rank(&cell(Workload::LeNet, CommMethod::Nccl, 16, 8)) > base);
+    }
+
+    #[test]
+    fn fig3_heaviest_cell_maximizes_cost_rank_over_the_paper_grid() {
+        // Inception-v3 at batch 64 on all 8 GPUs over NCCL: the fig3
+        // sweep's makespan floor, which the service must start first.
+        let floor = cell(Workload::InceptionV3, CommMethod::Nccl, 64, 8);
+        let floor_rank = cost_rank(&floor);
+        for c in crate::grid::GridSpec::paper().cells() {
+            assert!(
+                cost_rank(&c) <= floor_rank,
+                "{c:?} outranks the declared makespan floor"
+            );
+            // Strictly heavier than every cell that differs in the
+            // rank inputs (comm method doesn't enter the rank).
+            let same_rank_inputs =
+                c.workload == floor.workload && c.batch == floor.batch && c.gpus == floor.gpus;
+            if !same_rank_inputs {
+                assert!(cost_rank(&c) < floor_rank, "{c:?} ties the floor");
+            }
         }
     }
 

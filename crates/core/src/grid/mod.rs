@@ -58,6 +58,7 @@ mod executor;
 mod runner;
 mod spec;
 
+pub(crate) use cell::cost_rank;
 pub use cell::{Cell, FaultScenario, Platform};
 pub use executor::Executor;
 pub use runner::{cell_report, epoch_reports, harness_for, run_grid, CellCtx, GridOut, GridRunner};

@@ -85,14 +85,16 @@
 //! scan can never silently render from an empty trace. Recomputation
 //! publishes the full report, upgrading the entry in place.
 //!
-//! ## Async front end
+//! ## Claim order
 //!
-//! [`sched`] layers a non-blocking, prioritised scheduler over this
-//! service: requests become tickets on a bounded queue drained by a
-//! worker pool, with strict-priority bands, deficit-round-robin
-//! fairness across clients, cancellation, deadlines and backpressure.
-//! Reports flow through the same cache, so the two paths are
-//! byte-identical.
+//! A request computes the cells it claimed longest-first, ranked by
+//! the static `cost_rank` of each cell (workload weight × batch ×
+//! GPUs). Fig. 3's heaviest cell (Inception-v3, batch 64, 8 GPUs) is
+//! the sweep's makespan floor: started first, it runs while the cheap
+//! cells fill the other workers, instead of starting last and leaving
+//! one worker alone on the tail. Reports are still returned in input
+//! order and a completed request's counters do not depend on the
+//! order, so only the schedule moves, never an output.
 //!
 //! ## Example
 //!
@@ -112,8 +114,8 @@
 //! ```
 
 pub mod persist;
-pub mod sched;
 
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::Path;
@@ -123,7 +125,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use voltascope_train::EpochReport;
 use voltascope_workload::Definition;
 
-use crate::grid::{self, harness_for, Cell, Executor, FaultScenario, GridOut, GridSpec, Platform};
+use crate::grid::{
+    self, cost_rank, harness_for, Cell, Executor, FaultScenario, GridOut, GridSpec, Platform,
+};
 use crate::workloads::WorkloadSel;
 use crate::Harness;
 
@@ -148,20 +152,6 @@ enum Slot {
         report: Arc<EpochReport>,
         trace: persist::LazyTrace,
     },
-}
-
-/// How [`GridService::cell_report`] answered one cell, for the
-/// scheduler's duplicate accounting: duplicates of a cell inherit the
-/// first occurrence's class (`Computed` duplicates are intra-request
-/// repeats, `Hit`/`Coalesced` duplicates are more of the same).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CellClass {
-    /// Served from a completed cache entry.
-    Hit,
-    /// Waited on a computation some other thread had in flight.
-    Coalesced,
-    /// Claimed and computed by this call.
-    Computed,
 }
 
 /// Lock-guarded service state: the report cache plus the lazily grown
@@ -474,7 +464,7 @@ impl GridService {
         // of a cell claimed earlier in this same request are neither
         // hits nor coalesced — the request pays for the computation —
         // so they are tracked as `repeats`.
-        let mine: Vec<(Cell, Arc<Definition>, Arc<Harness>)> = {
+        let mut mine: Vec<(Cell, Arc<Definition>, Arc<Harness>)> = {
             let mut state = self.lock_state();
             let mut mine = Vec::new();
             let mut claimed_here: HashSet<Cell> = HashSet::new();
@@ -518,6 +508,10 @@ impl GridService {
             }
             mine
         };
+
+        // Longest first (see the module docs' claim-order section); the
+        // sort is stable, so equal ranks keep their claim order.
+        mine.sort_by_key(|(cell, _, _)| Reverse(cost_rank(cell)));
 
         // Every claim is covered by the unwind guard from here on: a
         // panic anywhere below reverts the unpublished claims and
@@ -577,85 +571,6 @@ impl GridService {
             reports.push(report);
         }
         reports
-    }
-
-    /// Answers a single cell for the async scheduler's workers:
-    /// claim-or-wait-or-hit with the same single-flight, panic-revert
-    /// and slim semantics as [`GridService::run_cells_traced`], but for
-    /// exactly one cell and reporting *how* it was answered so the
-    /// scheduler can account duplicates by class. Does **not** bump the
-    /// request/cell counters — the scheduler does that at submit time,
-    /// keeping sequential async streams stat-identical to the blocking
-    /// path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell's simulation panics; the claim is reverted
-    /// first (scheduler workers catch the unwind and fail the ticket).
-    pub(crate) fn cell_report(&self, cell: Cell, traced: bool) -> (Arc<EpochReport>, CellClass) {
-        let mut waited = false;
-        let mut state = self.lock_state();
-        loop {
-            // Traced request on a lazy entry: decode and upgrade in
-            // place (an undecodable block falls through to reclaim).
-            if traced && matches!(state.cache.get(&cell), Some(Slot::DoneLazy { .. })) {
-                if let Some(report) = self.upgrade_lazy(&mut state, cell) {
-                    drop(state);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return (report, CellClass::Hit);
-                }
-            }
-            let served = match state.cache.get(&cell) {
-                Some(Slot::Done(report)) => Some(report.clone()),
-                Some(Slot::DoneSlim(report) | Slot::DoneLazy { report, .. }) if !traced => {
-                    Some(report.clone())
-                }
-                Some(Slot::InFlight) => {
-                    waited = true;
-                    state = self
-                        .ready
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    continue;
-                }
-                // Missing (or slim/undecodable-lazy under a traced
-                // request, or reverted by a panicked claimant while we
-                // waited): claim it.
-                Some(Slot::DoneSlim(_) | Slot::DoneLazy { .. }) | None => None,
-            };
-            if let Some(report) = served {
-                drop(state);
-                // A wait that resolved to a published report was
-                // coalesced onto another thread's computation — the
-                // same class the blocking claim phase assigns when it
-                // observes InFlight under its single lock hold.
-                return if waited {
-                    self.coalesced.fetch_add(1, Ordering::Relaxed);
-                    (report, CellClass::Coalesced)
-                } else {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    (report, CellClass::Hit)
-                };
-            }
-            state.cache.insert(cell, Slot::InFlight);
-            let (def, harness) = Self::pools(&mut state, &self.base, cell);
-            drop(state);
-            let claim = ClaimGuard {
-                service: self,
-                cells: vec![cell],
-            };
-            // May panic; the guard reverts the claim and wakes waiters
-            // before the unwind reaches the scheduler's catch.
-            let report = Arc::new(grid::cell_report(&harness, &def, &cell));
-            self.computed.fetch_add(1, Ordering::Relaxed);
-            {
-                let mut state = self.lock_state();
-                state.cache.insert(cell, Slot::Done(report.clone()));
-            }
-            drop(claim);
-            self.ready.notify_all();
-            return (report, CellClass::Computed);
-        }
     }
 
     /// Claims and computes `cell` from the assemble loop, for the case
@@ -748,9 +663,9 @@ impl GridService {
     /// Number of lazy-loaded trace blocks decoded so far — the cost a
     /// warm service has actually paid for traces. A warm service
     /// answering only table-level sweeps leaves this at zero.
-    /// Deliberately *not* part of [`ServiceStats`]: the async/blocking
-    /// stat-parity contract compares how requests were answered, not
-    /// which snapshot machinery served them.
+    /// Deliberately *not* part of [`ServiceStats`]: those counters say
+    /// how requests were answered, not which snapshot machinery
+    /// served them.
     pub fn trace_decodes(&self) -> u64 {
         self.trace_decodes.load(Ordering::Relaxed)
     }
@@ -906,13 +821,16 @@ mod tests {
 
     #[test]
     fn panic_midway_through_a_request_spares_completed_cells() {
-        // The serial executor computes `mine` in claim order: the
-        // healthy cell publishes before the poisonous one panics. Its
-        // report must survive the unwind; the failed claim must not.
+        // The serial executor computes `mine` longest-first: the
+        // healthy cell outranks the poisonous one (LeNet b64 on 4 GPUs
+        // vs b16 on 9), so it publishes before the poisonous one
+        // panics, wherever it sits in the request. Its report must
+        // survive the unwind; the failed claim must not.
         let service = GridService::with_executor(Harness::paper(), Executor::Serial);
-        let good = lenet_cell(16, 1);
+        let good = lenet_cell(64, 4);
+        assert!(cost_rank(&good) > cost_rank(&poisonous_cell()));
         let result = catch_unwind(AssertUnwindSafe(|| {
-            service.run_cells(&[good, poisonous_cell()]);
+            service.run_cells(&[poisonous_cell(), good]);
         }));
         assert!(result.is_err());
         assert_eq!(service.cached_cells(), 1, "published cell survives");
@@ -920,6 +838,20 @@ mod tests {
         let reports = service.run_cells(&[good]);
         assert_eq!(reports.len(), 1);
         assert_eq!(service.stats().hits, 1);
+    }
+
+    #[test]
+    fn claimed_cells_are_computed_longest_first() {
+        // The poisonous 9-GPU cell outranks the cheap 1-GPU cell, so
+        // it runs first and panics before the cheap cell is computed,
+        // even though the cheap cell comes first in the request.
+        let service = GridService::with_executor(Harness::paper(), Executor::Serial);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            service.run_cells(&[lenet_cell(16, 1), poisonous_cell()]);
+        }));
+        assert!(result.is_err());
+        assert_eq!(service.stats().computed, 0, "heaviest claim runs first");
+        assert_eq!(service.cached_cells(), 0);
     }
 
     #[test]
@@ -1130,35 +1062,6 @@ mod tests {
         let report = traced.get(&lenet_cell(16, 1)).unwrap();
         assert!(!report.iter_trace.events().is_empty());
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn cell_report_classifies_hits_and_computes() {
-        let service = GridService::with_executor(Harness::paper(), Executor::Serial);
-        let cell = lenet_cell(16, 1);
-        let (first, class) = service.cell_report(cell, false);
-        assert_eq!(class, CellClass::Computed);
-        let (second, class) = service.cell_report(cell, false);
-        assert_eq!(class, CellClass::Hit);
-        assert!(Arc::ptr_eq(&first, &second));
-        let stats = service.stats();
-        assert_eq!(stats.computed, 1);
-        assert_eq!(stats.hits, 1);
-        // cell_report leaves request/cell accounting to its caller.
-        assert_eq!(stats.requests, 0);
-        assert_eq!(stats.cells, 0);
-    }
-
-    #[test]
-    fn cell_report_panics_revert_like_the_blocking_path() {
-        let service = GridService::with_executor(Harness::paper(), Executor::Serial);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            service.cell_report(poisonous_cell(), false);
-        }));
-        assert!(result.is_err());
-        assert_eq!(service.cached_cells(), 0, "claim reverted");
-        let (_, class) = service.cell_report(lenet_cell(16, 1), false);
-        assert_eq!(class, CellClass::Computed);
     }
 
     #[test]

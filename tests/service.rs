@@ -4,6 +4,7 @@
 //! path at any thread count, and keyed on the *full* cell — platform
 //! and fault variants may never answer each other's requests.
 
+use std::collections::HashSet;
 use std::sync::{Arc, Barrier};
 
 use dgx1_repro::prelude::*;
@@ -72,6 +73,84 @@ fn concurrent_identical_requests_compute_each_cell_exactly_once() {
 }
 
 #[test]
+fn randomized_stress_keeps_the_accounting_balanced() {
+    // Overlapping, shuffled subsets of a mixed-cost pool from 3
+    // threads: each request computes its claims longest-first, not in
+    // the order they arrive, so overlapping requests race on cells in
+    // varying orders. Single-flight must still hold and every report
+    // must match the direct grid path.
+    let spec = GridSpec::paper()
+        .workloads([Workload::LeNet, Workload::AlexNet])
+        .batches([16]);
+    let direct = epoch_reports(&Harness::paper(), &spec, Executor::Serial);
+    let pool = spec.cells();
+    for threads in [1usize, 2, 8] {
+        let requests = shuffled_subsets(&pool, threads as u64);
+        let union: HashSet<Cell> = requests.iter().flatten().flatten().copied().collect();
+        let service = GridService::with_executor(Harness::paper(), Executor::Parallel { threads });
+        let barrier = Barrier::new(requests.len());
+        std::thread::scope(|scope| {
+            for mine in &requests {
+                let (service, barrier, direct) = (&service, &barrier, &direct);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for cells in mine {
+                        for (cell, report) in cells.iter().zip(service.run_cells(cells)) {
+                            assert_same_report(&report, direct.get(cell).unwrap(), cell);
+                        }
+                    }
+                });
+            }
+        });
+        let stats = service.stats();
+        assert_eq!(stats.computed, union.len() as u64, "threads = {threads}");
+        assert_eq!(
+            stats.hits + stats.coalesced + stats.repeats + stats.computed,
+            stats.cells,
+            "threads = {threads}"
+        );
+    }
+}
+
+/// Three requesters' request lists: each request is a random window of
+/// `pool`, deterministically shuffled, so the requesters overlap.
+fn shuffled_subsets(pool: &[Cell], seed: u64) -> Vec<Vec<Vec<Cell>>> {
+    let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = move || {
+        rng = rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (rng >> 33) as usize
+    };
+    (0..3)
+        .map(|_| {
+            (0..3)
+                .map(|_| {
+                    let (start, len) = (next() % pool.len(), 4 + next() % 6);
+                    let mut cells: Vec<Cell> =
+                        (0..len).map(|k| pool[(start + k) % pool.len()]).collect();
+                    for i in (1..cells.len()).rev() {
+                        cells.swap(i, next() % (i + 1));
+                    }
+                    cells
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn assert_same_report(s: &EpochReport, d: &EpochReport, cell: &Cell) {
+    assert_eq!(s.iterations, d.iterations, "{cell:?}");
+    assert_eq!(s.iter_time, d.iter_time, "{cell:?}");
+    assert_eq!(s.epoch_time, d.epoch_time, "{cell:?}");
+    assert_eq!(s.fp_bp_iter, d.fp_bp_iter, "{cell:?}");
+    assert_eq!(s.wu_iter, d.wu_iter, "{cell:?}");
+    assert_eq!(s.sync_wall_iter, d.sync_wall_iter, "{cell:?}");
+    assert_eq!(s.compute_utilization, d.compute_utilization, "{cell:?}");
+    assert_eq!(s.iter_trace.len(), d.iter_trace.len(), "{cell:?}");
+}
+
+#[test]
 fn service_reports_match_the_direct_grid_path_at_every_thread_count() {
     let h = Harness::paper();
     let spec = GridSpec::paper()
@@ -84,14 +163,7 @@ fn service_reports_match_the_direct_grid_path_at_every_thread_count() {
         let via_service = service.sweep(&spec);
         assert_eq!(via_service.cells(), direct.cells());
         for ((cell, s), (_, d)) in via_service.iter().zip(direct.iter()) {
-            assert_eq!(s.iterations, d.iterations, "{cell:?}");
-            assert_eq!(s.iter_time, d.iter_time, "{cell:?}");
-            assert_eq!(s.epoch_time, d.epoch_time, "{cell:?}");
-            assert_eq!(s.fp_bp_iter, d.fp_bp_iter, "{cell:?}");
-            assert_eq!(s.wu_iter, d.wu_iter, "{cell:?}");
-            assert_eq!(s.sync_wall_iter, d.sync_wall_iter, "{cell:?}");
-            assert_eq!(s.compute_utilization, d.compute_utilization, "{cell:?}");
-            assert_eq!(s.iter_trace.len(), d.iter_trace.len(), "{cell:?}");
+            assert_same_report(s, d, cell);
         }
     }
 }
