@@ -27,7 +27,11 @@ const BATCH: usize = 32;
 
 fn main() {
     let dag_dir = workload_dir().join("dag");
-    let specs = load_dir(&dag_dir).unwrap_or_else(|(path, e)| panic!("{}: {e}", path.display()));
+    let loaded = load_dir(&dag_dir);
+    if let Some(e) = loaded.errors.first() {
+        panic!("{e}");
+    }
+    let specs = loaded.specs;
     assert!(
         !specs.is_empty(),
         "no .workload files under {} — run export_workloads first",

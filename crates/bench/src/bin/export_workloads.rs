@@ -5,8 +5,8 @@
 //! directory (`VOLTASCOPE_WORKLOAD_DIR` or the repository's
 //! `workloads/`). `--check` instead byte-compares each file against
 //! the builder-derived canonical text and exits non-zero on any drift
-//! — the CI gate that keeps the data files and the Rust builders in
-//! lockstep.
+//! or on any file that does not load. Every zoo cell times from these
+//! files, so this is the one check that they match the Rust builders.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -70,25 +70,22 @@ fn sync(path: &std::path::Path, spec: &WorkloadSpec, check: bool, drift: &mut us
     }
 }
 
-/// Parses every workload under `dir` (hand-written files included), so
-/// a syntax error in any checked-in file fails the gate with its
-/// line/column.
+/// Loads every workload under `dir` (hand-written files included), so
+/// an unreadable file or a syntax error in any checked-in file fails
+/// the gate with its path and line/column.
 fn parse_all(dir: &std::path::Path, drift: &mut usize) {
-    match voltascope::workloads::load_dir(dir) {
-        Ok(all) => {
-            for (path, spec) in &all {
-                println!(
-                    "parsed  {} (name `{}`, {} stages)",
-                    path.display(),
-                    spec.name,
-                    spec.pipeline_stages
-                );
-            }
-        }
-        Err((path, e)) => {
-            eprintln!("PARSE   {}: {e}", path.display());
-            *drift += 1;
-        }
+    let loaded = voltascope::workloads::load_dir(dir);
+    for (path, spec) in &loaded.specs {
+        println!(
+            "parsed  {} (name `{}`, {} stages)",
+            path.display(),
+            spec.name,
+            spec.pipeline_stages
+        );
+    }
+    for e in &loaded.errors {
+        eprintln!("PARSE   {e}");
+        *drift += 1;
     }
 }
 

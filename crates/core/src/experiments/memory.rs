@@ -4,14 +4,23 @@
 //! plain entry points honour the `VOLTASCOPE_THREADS` override and the
 //! `*_with` variants take an explicit [`Executor`].
 
+use std::collections::HashMap;
+
 use voltascope_comm::CommMethod;
 use voltascope_dnn::zoo::Workload;
+use voltascope_dnn::Model;
 use voltascope_profile::TextTable;
 use voltascope_train::GpuRole;
 
 use crate::grid::{run_grid, Executor, GridSpec};
 use crate::harness::Harness;
 use crate::workloads::WorkloadSel;
+
+/// Builds each workload's Rust model once: memory accounting reads the
+/// layer graph, which the lowered `.workload` files do not carry.
+fn zoo_models(workloads: &[Workload]) -> HashMap<WorkloadSel, Model> {
+    workloads.iter().map(|&w| (w.into(), w.build())).collect()
+}
 
 /// One row of Table IV.
 #[derive(Debug, Clone)]
@@ -56,18 +65,20 @@ pub fn table4(h: &Harness, workloads: &[Workload]) -> Vec<MemoryRow> {
 
 /// Computes Table IV under an explicit executor.
 pub fn table4_with(h: &Harness, workloads: &[Workload], exec: Executor) -> Vec<MemoryRow> {
+    let models = zoo_models(workloads);
     run_grid(h, &table4_spec(workloads), exec, |ctx| {
+        let model = &models[&ctx.cell.workload];
         let gpu = &ctx.harness.sys.gpu;
         let mem = &ctx.harness.memory;
         let base = mem
-            .usage(ctx.model(), 16, GpuRole::Worker, gpu)
+            .usage(model, 16, GpuRole::Worker, gpu)
             .expect("batch 16 must fit")
             .training_gib();
         let server = mem
-            .usage(ctx.model(), ctx.cell.batch, GpuRole::Server, gpu)
+            .usage(model, ctx.cell.batch, GpuRole::Server, gpu)
             .expect("paper batch sizes fit");
         let worker = mem
-            .usage(ctx.model(), ctx.cell.batch, GpuRole::Worker, gpu)
+            .usage(model, ctx.cell.batch, GpuRole::Worker, gpu)
             .expect("paper batch sizes fit");
         MemoryRow {
             workload: ctx.cell.workload,
@@ -137,12 +148,13 @@ pub fn max_batch(h: &Harness, workloads: &[Workload]) -> Vec<MaxBatchRow> {
 
 /// Computes the capacity search under an explicit executor.
 pub fn max_batch_with(h: &Harness, workloads: &[Workload], exec: Executor) -> Vec<MaxBatchRow> {
+    let models = zoo_models(workloads);
     run_grid(h, &max_batch_spec(workloads), exec, |ctx| MaxBatchRow {
         workload: ctx.cell.workload,
         max_batch: ctx
             .harness
             .memory
-            .max_batch(ctx.model(), &ctx.harness.sys.gpu),
+            .max_batch(&models[&ctx.cell.workload], &ctx.harness.sys.gpu),
     })
     .into_pairs()
     .map(|(_, row)| row)

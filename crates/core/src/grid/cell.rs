@@ -170,7 +170,8 @@ impl FaultScenario {
 /// renderers can index results directly instead of scanning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Cell {
-    /// Workload (network) selector: zoo builder or data-defined spec.
+    /// Workload (network) selector: a zoo network or another
+    /// registered `.workload` spec.
     pub workload: WorkloadSel,
     /// Communication method.
     pub comm: CommMethod,

@@ -19,10 +19,10 @@
 //!   or [`Executor::Parallel`] (std `thread::scope` work-chunking over
 //!   an atomic work index; the workspace deliberately has no rayon).
 //!   [`Executor::from_env`] reads the `VOLTASCOPE_THREADS` override.
-//! * [`GridRunner`] — pre-builds each workload's [`Model`] once per
-//!   grid (shared via `Arc` across worker threads) and each platform
-//!   variant's [`Harness`] once, then maps a cell function over the
-//!   enumeration.
+//! * [`GridRunner`] — builds each platform variant's [`Harness`] once
+//!   per grid (shared via `Arc` across worker threads), then maps a
+//!   cell function over the enumeration. Each cell's workload
+//!   definition is shared out of the `.workload` registry.
 //!
 //! ## Determinism
 //!
@@ -35,7 +35,7 @@
 //! ## Example
 //!
 //! ```
-//! use voltascope::grid::{Executor, GridRunner, GridSpec};
+//! use voltascope::grid::{cell_report, Executor, GridRunner, GridSpec};
 //! use voltascope::Harness;
 //! use voltascope_dnn::zoo::Workload;
 //!
@@ -46,9 +46,7 @@
 //! let harness = Harness::paper();
 //! let runner = GridRunner::new(&harness, &spec);
 //! let out = runner.run(Executor::Serial, &spec, |ctx| {
-//!     ctx.harness
-//!         .epoch(ctx.model(), ctx.cell.batch, ctx.cell.gpus, ctx.cell.comm, ctx.cell.scaling)
-//!         .epoch_time
+//!     cell_report(ctx.harness, ctx.def, &ctx.cell).epoch_time
 //! });
 //! assert_eq!(out.len(), 2 * 2); // comm methods x GPU counts
 //! ```
@@ -63,9 +61,6 @@ pub use cell::{Cell, FaultScenario, Platform};
 pub use executor::Executor;
 pub use runner::{cell_report, epoch_reports, harness_for, run_grid, CellCtx, GridOut, GridRunner};
 pub use spec::{GridSpec, PAPER_BATCHES, PAPER_GPU_COUNTS};
-
-#[allow(unused_imports)] // rustdoc links
-use voltascope_dnn::Model;
 
 #[allow(unused_imports)] // rustdoc links
 use crate::Harness;

@@ -4,76 +4,48 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
 
-use voltascope_dnn::Model;
-use voltascope_train::{EpochReport, MidEpochFault};
+use voltascope_train::{
+    simulate_epoch_dynamic_lowered, simulate_epoch_lowered, EpochReport, MidEpochFault, TrainConfig,
+};
 use voltascope_workload::Definition;
 
 use super::cell::{Cell, FaultScenario, Platform};
 use super::executor::Executor;
 use super::spec::GridSpec;
-use crate::workloads::WorkloadSel;
 use crate::Harness;
 
-/// Everything a cell function needs, resolved once per grid rather
-/// than once per cell: the platform-adjusted harness and the resolved
-/// workload definition.
+/// Everything a cell function needs: the platform-adjusted harness,
+/// resolved once per grid, and the cell's registered workload
+/// definition.
 #[derive(Debug, Clone, Copy)]
 pub struct CellCtx<'r> {
     /// The grid point being evaluated.
     pub cell: Cell,
     /// Harness whose system model matches `cell.platform`.
     pub harness: &'r Harness,
-    /// The cell's workload definition, resolved once per grid and
-    /// shared.
+    /// The cell's workload definition, shared out of the registry.
     pub def: &'r Definition,
 }
 
-impl<'r> CellCtx<'r> {
-    /// The cell's built [`Model`], for experiments that inspect graph
-    /// structure or memory (data-only workloads have no model).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the cell's workload is data-defined; model-reading
-    /// experiments must sweep zoo workloads.
-    pub fn model(&self) -> &'r Model {
-        self.def.model().unwrap_or_else(|| {
-            panic!(
-                "workload `{}` is data-defined and has no built model",
-                self.cell.workload.name()
-            )
-        })
-    }
-}
-
-/// Pre-resolved shared state for one grid: each workload's
-/// [`Definition`] resolved exactly once (building the zoo model and/or
-/// attaching the parsed spec), and one [`Harness`] per (platform,
-/// fault scenario) combination, all behind `Arc` so parallel workers
-/// share them without copying.
+/// Pre-resolved shared state for one grid: one [`Harness`] per
+/// (platform, fault scenario) combination, behind `Arc` so parallel
+/// workers share them without copying.
 #[derive(Debug, Clone)]
 pub struct GridRunner {
-    defs: HashMap<WorkloadSel, Arc<Definition>>,
     harnesses: HashMap<(Platform, FaultScenario), Arc<Harness>>,
 }
 
 impl GridRunner {
-    /// Builds the shared context for `spec`: one definition per
-    /// workload on the axis, one harness per (platform, fault) pair on
-    /// the axes.
+    /// Builds the shared context for `spec`: one harness per
+    /// (platform, fault) pair on the axes.
     pub fn new(base: &Harness, spec: &GridSpec) -> Self {
-        let defs = spec
-            .workload_axis()
-            .iter()
-            .map(|&w| (w, Arc::new(w.definition())))
-            .collect();
         let mut harnesses = HashMap::new();
         for &p in spec.platform_axis() {
             for &f in spec.fault_axis() {
                 harnesses.insert((p, f), Arc::new(harness_for(base, p, f)));
             }
         }
-        GridRunner { defs, harnesses }
+        GridRunner { harnesses }
     }
 
     /// Maps `f` over every cell of `spec` under `exec`, returning the
@@ -81,8 +53,8 @@ impl GridRunner {
     ///
     /// # Panics
     ///
-    /// Panics if `spec` names a workload or platform this runner was
-    /// not built for (always build the runner from the same spec, or a
+    /// Panics if `spec` names a platform or fault this runner was not
+    /// built for (always build the runner from the same spec, or a
     /// superset).
     pub fn run<T, F>(&self, exec: Executor, spec: &GridSpec, f: F) -> GridOut<T>
     where
@@ -98,10 +70,7 @@ impl GridRunner {
                     .harnesses
                     .get(&(cell.platform, cell.fault))
                     .expect("runner built for this platform and fault axis"),
-                def: self
-                    .defs
-                    .get(&cell.workload)
-                    .expect("runner built for this workload axis"),
+                def: cell.workload.resolve(),
             };
             f(ctx)
         });
@@ -138,24 +107,38 @@ pub fn harness_for(base: &Harness, platform: Platform, fault: FaultScenario) -> 
     }
 }
 
-/// Simulates one cell's [`EpochReport`], dispatching on the fault
-/// scenario: static scenarios run the ordinary epoch against the
-/// (already degraded) harness; mid-epoch scenarios run the dynamic
-/// piecewise epoch against the healthy harness, with the fault lowered
-/// to engine events at [`FaultScenario::mid_epoch_fraction`]. Both the
-/// direct grid path ([`epoch_reports`]) and the caching service route
-/// every cell through here, so the two stay interchangeable.
+/// Simulates one cell's [`EpochReport`] from its workload
+/// [`Definition`], dispatching on the fault scenario: static scenarios
+/// run the ordinary epoch against the (already degraded) harness;
+/// mid-epoch scenarios run the dynamic piecewise epoch
+/// ([`simulate_epoch_dynamic_lowered`]) against the healthy harness,
+/// with the fault lowered to engine events at
+/// [`FaultScenario::mid_epoch_fraction`]. A dynamic report's
+/// steady-state columns describe the **post-fault** regime, while
+/// `epoch_time` is the piecewise composition. Both the direct grid
+/// path ([`epoch_reports`]) and the caching service route every cell
+/// through here, so the two stay interchangeable.
+///
+/// # Panics
+///
+/// Panics with the lowering error's message when the definition fails
+/// validation, and on the fault-spec validation of `Topology::apply`.
 pub fn cell_report(harness: &Harness, def: &Definition, cell: &Cell) -> EpochReport {
+    let cfg = TrainConfig {
+        scaling: cell.scaling,
+        ..TrainConfig::strong(cell.batch, cell.gpus, cell.comm)
+    };
+    let lowered = def.lowered(cell.batch).unwrap_or_else(|e| panic!("{e}"));
     match cell.fault.mid_epoch_fraction() {
-        Some(fraction) => harness.epoch_def_dynamic(
-            def,
-            cell.batch,
-            cell.gpus,
-            cell.comm,
-            cell.scaling,
-            &MidEpochFault::new(cell.fault.spec(), fraction),
-        ),
-        None => harness.epoch_def(def, cell.batch, cell.gpus, cell.comm, cell.scaling),
+        Some(fraction) => {
+            let fault = MidEpochFault::new(cell.fault.spec(), fraction);
+            let dynamic = simulate_epoch_dynamic_lowered(&harness.sys, &lowered, &cfg, &fault);
+            EpochReport {
+                epoch_time: dynamic.epoch_time,
+                ..dynamic.degraded
+            }
+        }
+        None => simulate_epoch_lowered(&harness.sys, &lowered, &cfg),
     }
 }
 
@@ -282,21 +265,6 @@ mod tests {
             .comms([CommMethod::P2p])
             .batches([16, 32])
             .gpu_counts([1, 2])
-    }
-
-    #[test]
-    fn runner_shares_one_definition_per_workload() {
-        let h = Harness::paper();
-        let spec = small_spec();
-        let runner = GridRunner::new(&h, &spec);
-        let out = runner.run(Executor::Serial, &spec, |ctx| {
-            (
-                ctx.def as *const Definition as usize,
-                ctx.model() as *const Model as usize,
-            )
-        });
-        let first = out.values()[0];
-        assert!(out.values().iter().all(|&p| p == first));
     }
 
     #[test]

@@ -4,12 +4,11 @@ use voltascope_comm::CommMethod;
 use voltascope_dnn::{zoo::Workload, Model};
 use voltascope_sim::{mean_stddev, Jitter};
 use voltascope_train::{
-    simulate_epoch, simulate_epoch_dynamic_lowered, simulate_epoch_lowered, DatasetSpec,
-    EpochReport, MemoryModel, MidEpochFault, ScalingMode, SystemModel, TrainConfig,
+    simulate_epoch, EpochReport, MemoryModel, ScalingMode, SystemModel, TrainConfig,
 };
-use voltascope_workload::Definition;
 
 use crate::calibration;
+use crate::grid::{cell_report, Cell, FaultScenario, Platform};
 
 /// A measurement: mean and standard deviation over the repetitions of
 /// the paper's protocol (5 runs per configuration, Fig. 3).
@@ -73,86 +72,10 @@ impl Harness {
         scaling: ScalingMode,
     ) -> EpochReport {
         let cfg = TrainConfig {
-            batch_per_gpu: batch,
-            gpu_count: gpus,
-            comm,
             scaling,
-            dataset: DatasetSpec::imagenet_256k(),
-            bucket_fusion_bytes: 0,
+            ..TrainConfig::strong(batch, gpus, comm)
         };
         simulate_epoch(&self.sys, model, &cfg)
-    }
-
-    /// Like [`Harness::epoch`] but driven by a workload [`Definition`]:
-    /// builder-backed definitions lower from the Rust model (identical
-    /// to [`Harness::epoch`] by construction), data-backed ones from
-    /// the parsed `.workload` spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the lowering error's message when the definition
-    /// fails validation (empty workload, zero batch, ...), matching
-    /// [`simulate_epoch`]'s behaviour for invalid models.
-    pub fn epoch_def(
-        &self,
-        def: &Definition,
-        batch: usize,
-        gpus: usize,
-        comm: CommMethod,
-        scaling: ScalingMode,
-    ) -> EpochReport {
-        let cfg = TrainConfig {
-            batch_per_gpu: batch,
-            gpu_count: gpus,
-            comm,
-            scaling,
-            dataset: DatasetSpec::imagenet_256k(),
-            bucket_fusion_bytes: 0,
-        };
-        let lowered = def.lowered(batch).unwrap_or_else(|e| panic!("{e}"));
-        simulate_epoch_lowered(&self.sys, &lowered, &cfg)
-    }
-
-    /// Like [`Harness::epoch_def`] but with `fault` striking partway
-    /// through the epoch
-    /// ([`voltascope_train::simulate_epoch_dynamic_lowered`]). The
-    /// harness's system must be the *healthy* platform: the fault is
-    /// lowered to dynamic engine events mid-epoch rather than rewiring
-    /// the topology before lowering.
-    ///
-    /// The steady-state columns of the returned report (`iter_time`,
-    /// `iter_trace`, utilisation, ...) describe the **post-fault**
-    /// regime — the pace the epoch settles into once NCCL has
-    /// renegotiated — while `epoch_time` is the piecewise composition
-    /// (healthy head + transition iteration + degraded tail).
-    ///
-    /// # Panics
-    ///
-    /// As [`Harness::epoch_def`], plus the fault-spec validation of
-    /// `Topology::apply`.
-    pub fn epoch_def_dynamic(
-        &self,
-        def: &Definition,
-        batch: usize,
-        gpus: usize,
-        comm: CommMethod,
-        scaling: ScalingMode,
-        fault: &MidEpochFault,
-    ) -> EpochReport {
-        let cfg = TrainConfig {
-            batch_per_gpu: batch,
-            gpu_count: gpus,
-            comm,
-            scaling,
-            dataset: DatasetSpec::imagenet_256k(),
-            bucket_fusion_bytes: 0,
-        };
-        let lowered = def.lowered(batch).unwrap_or_else(|e| panic!("{e}"));
-        let dynamic = simulate_epoch_dynamic_lowered(&self.sys, &lowered, &cfg, fault);
-        EpochReport {
-            epoch_time: dynamic.epoch_time,
-            ..dynamic.degraded
-        }
     }
 
     /// Simulates one epoch with full control over the configuration
@@ -173,7 +96,8 @@ impl Harness {
     }
 
     /// End-to-end: simulate + repetition protocol for one cell of the
-    /// Fig. 3 grid.
+    /// Fig. 3 grid (healthy DGX-1), salted by [`Cell::jitter_salt`]
+    /// exactly as the grid salts it.
     pub fn training_time(
         &self,
         workload: Workload,
@@ -182,27 +106,17 @@ impl Harness {
         comm: CommMethod,
         scaling: ScalingMode,
     ) -> Measurement {
-        let model = workload.build();
-        self.training_time_of(&model, workload, batch, gpus, comm, scaling)
-    }
-
-    /// Like [`Harness::training_time`] but reusing a pre-built model
-    /// (grids over many cells should build each model once).
-    pub fn training_time_of(
-        &self,
-        model: &Model,
-        workload: Workload,
-        batch: usize,
-        gpus: usize,
-        comm: CommMethod,
-        scaling: ScalingMode,
-    ) -> Measurement {
-        let report = self.epoch(model, batch, gpus, comm, scaling);
-        let salt = ((workload as u64) << 40)
-            | ((batch as u64) << 24)
-            | ((gpus as u64) << 16)
-            | (comm == CommMethod::Nccl) as u64;
-        self.measure(report.epoch_time.as_secs_f64(), salt)
+        let cell = Cell {
+            workload: workload.into(),
+            comm,
+            batch,
+            gpus,
+            scaling,
+            platform: Platform::Dgx1,
+            fault: FaultScenario::Healthy,
+        };
+        let report = cell_report(self, cell.workload.resolve(), &cell);
+        self.measure(report.epoch_time.as_secs_f64(), cell.jitter_salt())
     }
 }
 

@@ -123,12 +123,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use voltascope_train::EpochReport;
-use voltascope_workload::Definition;
 
 use crate::grid::{
     self, cost_rank, harness_for, Cell, Executor, FaultScenario, GridOut, GridSpec, Platform,
 };
-use crate::workloads::WorkloadSel;
 use crate::Harness;
 
 use persist::PersistError;
@@ -155,13 +153,11 @@ enum Slot {
 }
 
 /// Lock-guarded service state: the report cache plus the lazily grown
-/// definition/harness pools (the same sharing the
-/// [`crate::grid::GridRunner`] does per grid, but across the service's
-/// whole lifetime).
+/// harness pool (the same sharing the [`crate::grid::GridRunner`] does
+/// per grid, but across the service's whole lifetime).
 #[derive(Debug, Default)]
 struct State {
     cache: HashMap<Cell, Slot>,
-    defs: HashMap<WorkloadSel, Arc<Definition>>,
     harnesses: HashMap<(Platform, FaultScenario), Arc<Harness>>,
 }
 
@@ -464,7 +460,7 @@ impl GridService {
         // of a cell claimed earlier in this same request are neither
         // hits nor coalesced — the request pays for the computation —
         // so they are tracked as `repeats`.
-        let mut mine: Vec<(Cell, Arc<Definition>, Arc<Harness>)> = {
+        let mut mine: Vec<(Cell, Arc<Harness>)> = {
             let mut state = self.lock_state();
             let mut mine = Vec::new();
             let mut claimed_here: HashSet<Cell> = HashSet::new();
@@ -501,8 +497,8 @@ impl GridService {
                     Some(Slot::DoneSlim(_) | Slot::DoneLazy { .. }) | None => {
                         state.cache.insert(cell, Slot::InFlight);
                         claimed_here.insert(cell);
-                        let (def, harness) = Self::pools(&mut state, &self.base, cell);
-                        mine.push((cell, def, harness));
+                        let harness = Self::harness(&mut state, &self.base, cell);
+                        mine.push((cell, harness));
                     }
                 }
             }
@@ -511,14 +507,14 @@ impl GridService {
 
         // Longest first (see the module docs' claim-order section); the
         // sort is stable, so equal ranks keep their claim order.
-        mine.sort_by_key(|(cell, _, _)| Reverse(cost_rank(cell)));
+        mine.sort_by_key(|(cell, _)| Reverse(cost_rank(cell)));
 
         // Every claim is covered by the unwind guard from here on: a
         // panic anywhere below reverts the unpublished claims and
         // wakes waiters before the panic continues unwinding.
         let claims = ClaimGuard {
             service: self,
-            cells: mine.iter().map(|(cell, _, _)| *cell).collect(),
+            cells: mine.iter().map(|(cell, _)| *cell).collect(),
         };
 
         // Compute phase: only the cells this request claimed, on the
@@ -526,8 +522,8 @@ impl GridService {
         // as soon as it exists, not at the end of the batch, so
         // overlapping requests stream results out of this one.
         self.exec.run(mine.len(), |i| {
-            let (cell, def, harness) = &mine[i];
-            let report = Arc::new(grid::cell_report(harness, def, cell));
+            let (cell, harness) = &mine[i];
+            let report = Arc::new(grid::cell_report(harness, cell.workload.resolve(), cell));
             self.computed.fetch_add(1, Ordering::Relaxed);
             let mut state = self.lock_state();
             state.cache.insert(*cell, Slot::Done(report.clone()));
@@ -583,7 +579,7 @@ impl GridService {
         cell: Cell,
     ) -> MutexGuard<'a, State> {
         state.cache.insert(cell, Slot::InFlight);
-        let (def, harness) = Self::pools(&mut state, &self.base, cell);
+        let harness = Self::harness(&mut state, &self.base, cell);
         drop(state);
         let claim = ClaimGuard {
             service: self,
@@ -592,7 +588,7 @@ impl GridService {
         // May panic for a genuinely poisonous cell, in which case the
         // guard reverts this adoption too and the panic propagates to
         // this request's caller.
-        let report = Arc::new(grid::cell_report(&harness, &def, &cell));
+        let report = Arc::new(grid::cell_report(&harness, cell.workload.resolve(), &cell));
         self.computed.fetch_add(1, Ordering::Relaxed);
         {
             let mut state = self.lock_state();
@@ -623,20 +619,14 @@ impl GridService {
         Some(full)
     }
 
-    /// Fetches (building on first use) the shared workload definition
-    /// and harness for `cell` from the state pools.
-    fn pools(state: &mut State, base: &Harness, cell: Cell) -> (Arc<Definition>, Arc<Harness>) {
-        let def = state
-            .defs
-            .entry(cell.workload)
-            .or_insert_with(|| Arc::new(cell.workload.definition()))
-            .clone();
-        let harness = state
+    /// Fetches (building on first use) the shared harness for `cell`
+    /// from the state pool.
+    fn harness(state: &mut State, base: &Harness, cell: Cell) -> Arc<Harness> {
+        state
             .harnesses
             .entry((cell.platform, cell.fault))
             .or_insert_with(|| Arc::new(harness_for(base, cell.platform, cell.fault)))
-            .clone();
-        (def, harness)
+            .clone()
     }
 
     /// Acquires the state lock, recovering from poisoning: the lock is

@@ -108,10 +108,12 @@
 //!   mismatch yields [`PersistError::UnsupportedVersion`].
 //! * **Harness fingerprint** — a hash over the complete base
 //!   [`Harness`] configuration (topology, kernel/API/NCCL cost models,
-//!   host-dispatch costs, memory model, measurement protocol). Any
-//!   calibration change produces a different fingerprint and the stale
-//!   snapshot is rejected ([`PersistError::FingerprintMismatch`])
-//!   rather than silently reused.
+//!   host-dispatch costs, memory model, measurement protocol) and the
+//!   bytes of every registered `.workload` file. Any calibration
+//!   change or workload-file edit produces a different fingerprint and
+//!   the stale snapshot is rejected
+//!   ([`PersistError::FingerprintMismatch`]) rather than silently
+//!   reused.
 //!
 //! Rejection is always typed and recoverable — truncated, corrupted,
 //! wrong-version and wrong-fingerprint files return a [`PersistError`],
@@ -259,16 +261,28 @@ impl PersistError {
     }
 }
 
-/// Fingerprint of a harness configuration, recorded in every snapshot
-/// header. Hashes the `Debug` rendering of the full [`Harness`] — the
-/// system model (topology, GPU spec, kernel/API/NCCL cost models,
+/// Fingerprint of a harness configuration and the workload files it
+/// times, recorded in every snapshot header: [`fingerprint_with`] over
+/// the process registry's [`workloads::registry_digest`].
+pub fn harness_fingerprint(harness: &Harness) -> u64 {
+    fingerprint_with(harness, workloads::registry_digest())
+}
+
+/// Hashes the `Debug` rendering of the full [`Harness`] — the system
+/// model (topology, GPU spec, kernel/API/NCCL cost models,
 /// host-dispatch and P2P-issue costs, overlap flag, straggler factors),
 /// the memory model, and the measurement protocol (reps, jitter sigma,
-/// seed). Deliberately conservative: any calibration change, even one
-/// that could not affect cached reports, invalidates old snapshots —
-/// recomputing a grid is cheap next to silently reusing stale numbers.
-pub fn harness_fingerprint(harness: &Harness) -> u64 {
-    fnv1a(format!("{harness:?}").as_bytes())
+/// seed) — then folds in `workload_digest`, the digest of the
+/// registered `.workload` files every cell lowers from. Deliberately
+/// conservative: any calibration change or workload-file edit, even
+/// one that could not affect cached reports, invalidates old
+/// snapshots — recomputing a grid is cheap next to silently reusing
+/// stale numbers.
+pub fn fingerprint_with(harness: &Harness, workload_digest: u64) -> u64 {
+    fnv1a_extend(
+        fnv1a(format!("{harness:?}").as_bytes()),
+        &workload_digest.to_le_bytes(),
+    )
 }
 
 /// Encodes `entries` as a complete full-fat snapshot byte image for
@@ -605,8 +619,15 @@ pub fn load_entries(
 
 /// FNV-1a over a byte slice — the workspace's standard dependency-free
 /// hash (the vendored proptest uses the same constants for seeding).
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a hash `h` over `bytes`.
+pub(crate) fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);

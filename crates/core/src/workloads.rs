@@ -1,9 +1,16 @@
-//! Workload selection and the data-workload registry.
+//! Workload selection and the workload registry.
 //!
-//! The grid machinery keys cells by [`WorkloadSel`]: either a zoo
-//! workload built in Rust ([`Workload`]) or a [`DataWorkload`] — a
+//! The grid machinery keys cells by [`WorkloadSel`]: either one of the
+//! paper's zoo networks ([`Workload`]) or a [`DataWorkload`] — a
 //! `.workload` spec discovered on disk, indexed into a process-wide
 //! registry so the selector stays a small `Copy` key.
+//!
+//! Both kinds time from the registry. A zoo selector resolves to the
+//! registered spec carrying its name, the checked-in file that
+//! `export_workloads` generated from the Rust builder (its `--check`
+//! mode is the gate that keeps file and builder equal). The builders
+//! remain for real numerics, memory experiments and regenerating the
+//! files.
 //!
 //! # Registry
 //!
@@ -11,29 +18,23 @@
 //! back to the repository's `workloads/` directory. Files are taken in
 //! filename order (sorted), so [`DataWorkload`] indices — and the
 //! jitter salts derived from them — are stable for a fixed directory
-//! content. A missing directory yields an empty registry; a file that
-//! fails to parse aborts with the parser's typed error (CI's
-//! parse-all-workloads step reports the same error first).
-//!
-//! # Data-driven zoo
-//!
-//! Setting `VOLTASCOPE_WORKLOAD_SOURCE=data` makes every zoo selector
-//! resolve to a [`Definition::Checked`]: epoch timing then lowers from
-//! the checked-in `.workload` file while the built model stays
-//! available for memory/census queries. The golden CI job re-runs the
-//! full suite in this mode to prove the data path byte-identical.
+//! content. A missing directory yields an empty registry. A file that
+//! cannot be read or parsed is reported once on stderr and left out;
+//! the rest still load. Resolving a zoo workload whose file is missing
+//! or broken panics with the stored error. The registry also keeps a
+//! digest of every registered file's bytes, which snapshot
+//! fingerprints fold in so an edited file invalidates cached reports.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use voltascope_dnn::zoo::Workload;
 use voltascope_workload::{Definition, ParseError, WorkloadSpec};
 
+use crate::service::persist::{fnv1a_extend, FNV_OFFSET};
+
 /// Environment variable overriding the `.workload` search directory.
 pub const WORKLOAD_DIR_ENV: &str = "VOLTASCOPE_WORKLOAD_DIR";
-/// Environment variable selecting the zoo definition source
-/// (`data` routes zoo timing through the parsed `.workload` files).
-pub const WORKLOAD_SOURCE_ENV: &str = "VOLTASCOPE_WORKLOAD_SOURCE";
 
 /// A workload from the on-disk registry, identified by its stable
 /// index (filename-sorted position in the workload directory).
@@ -48,17 +49,12 @@ impl DataWorkload {
 
     /// The workload's display name (the spec's `name` directive).
     pub fn name(self) -> &'static str {
-        &registry().entries[self.index()].name
+        registry().entries[self.index()].name()
     }
 
     /// The parsed spec.
-    pub fn spec(self) -> &'static Arc<WorkloadSpec> {
-        &registry().entries[self.index()].spec
-    }
-
-    /// The file the spec was parsed from.
-    pub fn path(self) -> &'static Path {
-        &registry().entries[self.index()].path
+    pub fn spec(self) -> &'static WorkloadSpec {
+        registry().entries[self.index()].spec()
     }
 }
 
@@ -68,12 +64,12 @@ impl std::fmt::Display for DataWorkload {
     }
 }
 
-/// Selects a workload for a grid cell: a Rust-built zoo network or a
-/// data-defined `.workload` spec. Small `Copy` key, `Eq + Hash`, like
+/// Selects a workload for a grid cell: a paper zoo network or another
+/// registered `.workload` spec. Small `Copy` key, `Eq + Hash`, like
 /// every other cell axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum WorkloadSel {
-    /// One of the five paper workloads, built in Rust.
+    /// One of the five paper workloads, timed from its exported file.
     Zoo(Workload),
     /// A registered data workload.
     Data(DataWorkload),
@@ -85,14 +81,6 @@ impl WorkloadSel {
         match self {
             WorkloadSel::Zoo(w) => w.name(),
             WorkloadSel::Data(d) => d.name(),
-        }
-    }
-
-    /// The zoo workload, when this selector is one.
-    pub fn zoo(self) -> Option<Workload> {
-        match self {
-            WorkloadSel::Zoo(w) => Some(w),
-            WorkloadSel::Data(_) => None,
         }
     }
 
@@ -115,37 +103,22 @@ impl WorkloadSel {
         find_data(name).map(WorkloadSel::Data)
     }
 
-    /// Resolves the selector to a workload [`Definition`].
-    ///
-    /// Zoo selectors yield [`Definition::Builder`] unless
-    /// `VOLTASCOPE_WORKLOAD_SOURCE=data`, in which case the registered
-    /// spec of the same name is attached as [`Definition::Checked`]
-    /// and timing lowers from the data file.
+    /// Resolves the selector to its registered [`Definition`]: zoo
+    /// selectors by [`Workload::name`], data selectors by index.
     ///
     /// # Panics
     ///
-    /// Panics when the data source is requested but no spec with the
-    /// zoo model's name is registered.
+    /// Panics when a zoo workload's file is missing from the registry
+    /// or failed to load, naming the load error and the fix.
     pub fn definition(self) -> Definition {
+        self.resolve().clone()
+    }
+
+    /// [`WorkloadSel::definition`] without the `Arc` clone.
+    pub(crate) fn resolve(self) -> &'static Definition {
         match self {
-            WorkloadSel::Zoo(w) => {
-                let model = Arc::new(w.build());
-                if data_source_requested() {
-                    let spec = find_data(model.name())
-                        .unwrap_or_else(|| {
-                            panic!(
-                                "{WORKLOAD_SOURCE_ENV}=data but no .workload spec named `{}` is registered",
-                                model.name()
-                            )
-                        })
-                        .spec()
-                        .clone();
-                    Definition::Checked { model, spec }
-                } else {
-                    Definition::Builder(model)
-                }
-            }
-            WorkloadSel::Data(d) => Definition::Data(d.spec().clone()),
+            WorkloadSel::Zoo(w) => registry().zoo(w),
+            WorkloadSel::Data(d) => &registry().entries[d.index()],
         }
     }
 }
@@ -174,19 +147,47 @@ impl std::fmt::Display for WorkloadSel {
     }
 }
 
-struct Entry {
-    name: String,
-    spec: Arc<WorkloadSpec>,
-    path: PathBuf,
+/// A `.workload` file the registry could not take.
+#[derive(Debug)]
+pub enum LoadError {
+    /// The file or directory could not be read, or the file is not
+    /// UTF-8 (reported as [`std::io::ErrorKind::InvalidData`]).
+    Io {
+        /// The file, or the directory when listing it failed.
+        path: PathBuf,
+        /// The underlying error.
+        error: std::io::Error,
+    },
+    /// The file's text does not parse.
+    Parse {
+        /// The file.
+        path: PathBuf,
+        /// The parser's typed error, with line and column.
+        error: ParseError,
+    },
 }
 
-struct Registry {
-    entries: Vec<Entry>,
+impl std::fmt::Display for LoadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LoadError::Io { path, error } => write!(f, "{}: {error}", path.display()),
+            LoadError::Parse { path, error } => write!(f, "{}: {error}", path.display()),
+        }
+    }
 }
 
-/// Whether zoo timing should lower from the data files.
-fn data_source_requested() -> bool {
-    std::env::var(WORKLOAD_SOURCE_ENV).is_ok_and(|v| v == "data")
+impl std::error::Error for LoadError {}
+
+/// What [`load_dir`] found in a workload directory.
+#[derive(Debug, Default)]
+pub struct LoadedDir {
+    /// The specs that loaded, filename-sorted, with their files.
+    pub specs: Vec<(PathBuf, WorkloadSpec)>,
+    /// The files that did not load, filename-sorted.
+    pub errors: Vec<LoadError>,
+    /// FNV-1a digest over the file name and bytes of every loaded
+    /// spec, in order.
+    pub digest: u64,
 }
 
 /// The directory the registry loads from: the env override, else the
@@ -198,43 +199,119 @@ pub fn workload_dir() -> PathBuf {
     }
 }
 
-/// Parses every `*.workload` file under `dir` in filename order.
-/// Pure helper behind the process registry, also used by the CI
-/// parse-all-workloads gate.
-pub fn load_dir(dir: &Path) -> Result<Vec<(PathBuf, WorkloadSpec)>, (PathBuf, ParseError)> {
-    let Ok(read) = std::fs::read_dir(dir) else {
-        return Ok(Vec::new()); // missing directory == empty registry
+/// Loads every `*.workload` file under `dir` in filename order. Files
+/// that cannot be read or parsed come back as typed [`LoadError`]s
+/// next to the specs that did load. A missing directory is empty.
+/// Pure helper behind the process registry, also used by the
+/// `export_workloads --check` gate.
+pub fn load_dir(dir: &Path) -> LoadedDir {
+    let mut loaded = LoadedDir {
+        digest: FNV_OFFSET,
+        ..LoadedDir::default()
     };
-    let mut paths: Vec<PathBuf> = read
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "workload"))
-        .collect();
-    paths.sort();
-    let mut out = Vec::with_capacity(paths.len());
-    for path in paths {
-        let text = std::fs::read_to_string(&path).unwrap_or_default();
-        match WorkloadSpec::parse(&text) {
-            Ok(spec) => out.push((path, spec)),
-            Err(e) => return Err((path, e)),
+    let read = match std::fs::read_dir(dir) {
+        Ok(read) => read,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return loaded,
+        Err(error) => {
+            loaded.errors.push(LoadError::Io {
+                path: dir.to_path_buf(),
+                error,
+            });
+            return loaded;
+        }
+    };
+    let mut paths = Vec::new();
+    for entry in read {
+        match entry {
+            Ok(entry) => paths.push(entry.path()),
+            Err(error) => loaded.errors.push(LoadError::Io {
+                path: dir.to_path_buf(),
+                error,
+            }),
         }
     }
-    Ok(out)
+    paths.retain(|p| p.extension().is_some_and(|x| x == "workload"));
+    paths.sort();
+    for path in paths {
+        let text = match std::fs::read(&path).and_then(|bytes| {
+            String::from_utf8(bytes)
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+        }) {
+            Ok(text) => text,
+            Err(error) => {
+                loaded.errors.push(LoadError::Io { path, error });
+                continue;
+            }
+        };
+        match WorkloadSpec::parse(&text) {
+            Ok(spec) => {
+                let name = path.file_name().map_or(&[][..], |n| n.as_encoded_bytes());
+                loaded.digest = fnv1a_extend(loaded.digest, name);
+                loaded.digest = fnv1a_extend(loaded.digest, &[0]);
+                loaded.digest = fnv1a_extend(loaded.digest, text.as_bytes());
+                loaded.specs.push((path, spec));
+            }
+            Err(error) => loaded.errors.push(LoadError::Parse { path, error }),
+        }
+    }
+    loaded
+}
+
+struct Registry {
+    dir: PathBuf,
+    entries: Vec<Definition>,
+    errors: Vec<LoadError>,
+    digest: u64,
+}
+
+impl Registry {
+    /// Loads `dir`, reporting each file it leaves out once on stderr.
+    fn load(dir: PathBuf) -> Registry {
+        let loaded = load_dir(&dir);
+        for e in &loaded.errors {
+            eprintln!("skipping workload file {e}");
+        }
+        Registry {
+            dir,
+            entries: loaded
+                .specs
+                .into_iter()
+                .map(|(_, spec)| spec.into())
+                .collect(),
+            errors: loaded.errors,
+            digest: loaded.digest,
+        }
+    }
+
+    fn find(&self, name: &str) -> Option<usize> {
+        self.entries.iter().position(|d| d.name() == name)
+    }
+
+    /// The registered definition of a zoo workload.
+    fn zoo(&self, w: Workload) -> &Definition {
+        let Some(i) = self.find(w.name()) else {
+            let errors: String = self.errors.iter().map(|e| format!("\n  {e}")).collect();
+            panic!(
+                "no `.workload` file named `{}` is registered from {}{errors}\n\
+                 run `cargo run --release -p voltascope-bench --bin export_workloads` \
+                 to regenerate the zoo files",
+                w.name(),
+                self.dir.display()
+            )
+        };
+        &self.entries[i]
+    }
 }
 
 fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let entries = load_dir(&workload_dir())
-            .unwrap_or_else(|(path, e)| panic!("{}: {e}", path.display()))
-            .into_iter()
-            .map(|(path, spec)| Entry {
-                name: spec.name.clone(),
-                spec: Arc::new(spec),
-                path,
-            })
-            .collect();
-        Registry { entries }
-    })
+    REGISTRY.get_or_init(|| Registry::load(workload_dir()))
+}
+
+/// Digest of every registered `.workload` file's name and bytes,
+/// computed once at registry load (see [`LoadedDir::digest`]).
+pub fn registry_digest() -> u64 {
+    registry().digest
 }
 
 /// All registered data workloads, in registry (filename) order.
@@ -246,11 +323,7 @@ pub fn data_workloads() -> Vec<DataWorkload> {
 
 /// Finds a registered data workload by exact spec name.
 pub fn find_data(name: &str) -> Option<DataWorkload> {
-    registry()
-        .entries
-        .iter()
-        .position(|e| e.name == name)
-        .map(|i| DataWorkload(i as u16))
+    registry().find(name).map(|i| DataWorkload(i as u16))
 }
 
 #[cfg(test)]
@@ -263,7 +336,6 @@ mod tests {
         assert_eq!(sel, Workload::AlexNet);
         assert_ne!(sel, Workload::LeNet);
         assert_eq!(sel.name(), "AlexNet");
-        assert_eq!(sel.zoo(), Some(Workload::AlexNet));
         assert_eq!(sel.to_string(), "AlexNet");
     }
 
@@ -278,16 +350,73 @@ mod tests {
     }
 
     #[test]
-    fn builder_definition_by_default() {
-        let def = WorkloadSel::Zoo(Workload::LeNet).definition();
-        assert!(matches!(def, Definition::Builder(_)));
-        assert_eq!(def.name(), "LeNet");
+    fn zoo_and_data_selectors_share_one_spec() {
+        for w in Workload::ALL {
+            let zoo = WorkloadSel::Zoo(w).definition();
+            let data = WorkloadSel::Data(find_data(w.name()).unwrap()).definition();
+            assert!(std::ptr::eq(zoo.spec(), data.spec()), "{w}");
+            assert_eq!(zoo.name(), w.name());
+        }
     }
 
     #[test]
     fn load_dir_tolerates_missing_directory() {
-        let loaded = load_dir(Path::new("/nonexistent/voltascope-workloads")).unwrap();
-        assert!(loaded.is_empty());
+        let loaded = load_dir(Path::new("/nonexistent/voltascope-workloads"));
+        assert!(loaded.specs.is_empty());
+        assert!(loaded.errors.is_empty());
+    }
+
+    /// A fresh scratch directory under the system temp dir.
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("voltascope-workloads-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    const GOOD: &str = "workload v1\nname Good\ninput 4\nlayer a fc 0 1 2 4 4 8 0\nend\n";
+
+    #[test]
+    fn bad_files_become_typed_errors_and_the_rest_still_load() {
+        let dir = temp_dir("mixed");
+        std::fs::write(dir.join("a_good.workload"), GOOD).unwrap();
+        std::fs::write(dir.join("b_malformed.workload"), "workload v1\nname\n").unwrap();
+        std::fs::write(dir.join("c_binary.workload"), [0xff, 0xfe, 0x00, 0x80]).unwrap();
+        std::fs::write(dir.join("ignored.txt"), "not a workload").unwrap();
+        let loaded = load_dir(&dir);
+        assert_eq!(loaded.specs.len(), 1);
+        assert_eq!(loaded.specs[0].1.name, "Good");
+        assert_eq!(loaded.errors.len(), 2);
+        assert!(matches!(
+            &loaded.errors[0],
+            LoadError::Parse { path, .. } if path == &dir.join("b_malformed.workload")
+        ));
+        match &loaded.errors[1] {
+            LoadError::Io { path, error } => {
+                assert_eq!(path, &dir.join("c_binary.workload"));
+                assert_eq!(error.kind(), std::io::ErrorKind::InvalidData);
+            }
+            other => panic!("expected an Io error, got {other}"),
+        }
+        assert!(loaded.errors[1].to_string().contains("c_binary.workload"));
+
+        // The digest covers the loaded file's bytes.
+        let before = loaded.digest;
+        std::fs::write(dir.join("a_good.workload"), GOOD.replace("8 0", "9 0")).unwrap();
+        assert_ne!(load_dir(&dir).digest, before);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "export_workloads")]
+    fn a_broken_zoo_file_panics_with_its_load_error() {
+        let dir = temp_dir("broken-zoo");
+        std::fs::write(dir.join("lenet.workload"), "workload v1\nname LeNet\n").unwrap();
+        let registry = Registry::load(dir.clone());
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(registry.errors.len(), 1);
+        registry.zoo(Workload::LeNet);
     }
 
     #[test]
@@ -308,10 +437,8 @@ mod tests {
         assert!(names.contains(&"GPT2-Small"), "registry: {names:?}");
         let gpt = find_data("GPT2-Small").unwrap();
         assert!(gpt.spec().pipeline_stages > 1);
-        assert!(gpt.path().ends_with("transformer_pp.workload"));
-        // Data definitions resolve without a Rust model.
         let def = WorkloadSel::Data(gpt).definition();
-        assert!(def.model().is_none());
+        assert_eq!(def.name(), "GPT2-Small");
         assert!(def.lowered(16).is_ok());
     }
 }

@@ -35,7 +35,7 @@
 use voltascope_dnn::Model;
 use voltascope_sim::{DynamicEvent, DynamicEventKind, ResourceId, SimSpan, SimTime, TaskGraph};
 use voltascope_topo::{FaultSpec, Link, Topology};
-use voltascope_workload::{lower_model, LoweredWorkload};
+use voltascope_workload::{lower, LoweredWorkload, WorkloadSpec};
 
 use crate::epoch::{
     simulate_epoch_lowered, simulate_epoch_lowered_with_events, EpochReport, SystemModel,
@@ -211,7 +211,8 @@ pub fn simulate_epoch_dynamic(
     cfg: &TrainConfig,
     fault: &MidEpochFault,
 ) -> DynamicEpochReport {
-    let lowered = lower_model(model, cfg.batch_per_gpu).unwrap_or_else(|e| panic!("{e}"));
+    let lowered = lower(&WorkloadSpec::from_model(model), cfg.batch_per_gpu)
+        .unwrap_or_else(|e| panic!("{e}"));
     simulate_epoch_dynamic_lowered(sys, &lowered, cfg, fault)
 }
 

@@ -21,7 +21,7 @@ use voltascope_dnn::{Model, Stage};
 use voltascope_gpu::{ApiCall, ApiCostModel, GpuSpec, KernelCostModel};
 use voltascope_sim::{DynamicEvent, Engine, ResourceId, SimSpan, TaskGraph, TaskId, Trace};
 use voltascope_topo::{dgx1_v100, Device, FaultSpec, Topology};
-use voltascope_workload::{lower_model, LoweredWorkload};
+use voltascope_workload::{lower, LoweredWorkload, WorkloadSpec};
 
 use crate::dataset::{DatasetSpec, ScalingMode};
 
@@ -233,19 +233,19 @@ impl EpochReport {
 /// assert!(four.epoch_time > one.epoch_time / 4);
 /// ```
 pub fn simulate_epoch(sys: &SystemModel, model: &Model, cfg: &TrainConfig) -> EpochReport {
-    let lowered = lower_model(model, cfg.batch_per_gpu).unwrap_or_else(|e| panic!("{e}"));
+    let lowered = lower(&WorkloadSpec::from_model(model), cfg.batch_per_gpu)
+        .unwrap_or_else(|e| panic!("{e}"));
     simulate_epoch_lowered(sys, &lowered, cfg)
 }
 
 /// Simulates one epoch of data-parallel training from an
 /// already-lowered workload: the data-driven twin of
 /// [`simulate_epoch`], consuming the kernel/bucket profile a
-/// [`WorkloadSpec`](voltascope_workload::WorkloadSpec) or a built
-/// model lowers to. All pipeline assembly — bucket fusion, the FP/BP
-/// kernel chains, the P2P and NCCL weight-update schedules — lives
-/// here; `simulate_epoch` is a thin wrapper that lowers its model
-/// first, so both entry points produce bit-identical reports for
-/// equivalent inputs.
+/// [`WorkloadSpec`] lowers to. All pipeline assembly — bucket fusion,
+/// the FP/BP kernel chains, the P2P and NCCL weight-update schedules —
+/// lives here; `simulate_epoch` is a thin wrapper that exports its
+/// model with [`WorkloadSpec::from_model`] and lowers that, so both
+/// entry points produce bit-identical reports for equivalent inputs.
 ///
 /// # Panics
 ///

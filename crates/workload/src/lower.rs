@@ -1,19 +1,17 @@
 //! Lowering: compiling a workload description into the kernel/bucket
 //! profile the epoch simulator executes.
 //!
-//! Both front ends converge on [`LoweredWorkload`]:
-//!
-//! * [`lower`] scales a parsed [`WorkloadSpec`]'s batch-1 counts to the
-//!   requested batch (every zoo layer kind is exactly linear in batch,
-//!   so this reproduces the builder numbers bit for bit), and
-//! * [`lower_model`] asks a built [`Model`] directly via
-//!   [`Model::kernel_profile`]/[`Model::gradient_buckets`].
+//! [`lower`] is the only lowering function. It scales a parsed
+//! [`WorkloadSpec`]'s batch-1 counts to the requested batch. Every zoo
+//! layer kind is exactly linear in batch, so a spec exported from a
+//! built model ([`WorkloadSpec::from_model`]) lowers to that model's
+//! `kernel_profile` and `gradient_buckets` bit for bit.
 //!
 //! Degenerate inputs that previously panicked deep inside the task
 //! graph (batch 0, empty models) or silently produced zero-cost
 //! kernels are rejected here with typed [`LowerError`]s.
 
-use voltascope_dnn::{GradientBucket, KernelDesc, Model, Shape, Stage};
+use voltascope_dnn::{GradientBucket, KernelDesc, Shape, Stage};
 
 use crate::schema::{DepError, WorkloadSpec};
 
@@ -56,8 +54,8 @@ pub struct LoweredWorkload {
     /// layer first), before any fusion.
     pub buckets: Vec<GradientBucket>,
     /// Layer-level dependency edges, present only when the spec
-    /// carries explicit v2 `dep` directives. `None` (v1 files,
-    /// edge-free v2 files, builder models) means the linear chain:
+    /// carries explicit v2 `dep` directives. `None` (v1 files and
+    /// edge-free v2 files) means the linear chain:
     /// layer `i` follows layer `i - 1`.
     pub dag: Option<LoweredDag>,
 }
@@ -150,28 +148,6 @@ impl From<DepError> for LowerError {
     }
 }
 
-fn check_names_and_costs<'a>(
-    workload: &str,
-    rows: impl Iterator<Item = (&'a str, u64, u64)>,
-) -> Result<(), LowerError> {
-    let mut seen = std::collections::HashSet::new();
-    for (name, flops, bytes) in rows {
-        if !seen.insert(name.to_string()) {
-            return Err(LowerError::DuplicateLayerName {
-                workload: workload.to_string(),
-                layer: name.to_string(),
-            });
-        }
-        if flops == 0 && bytes == 0 {
-            return Err(LowerError::ZeroCostLayer {
-                workload: workload.to_string(),
-                layer: name.to_string(),
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Lowers a parsed spec to the kernel/bucket profile for `batch`
 /// samples per GPU.
 ///
@@ -196,20 +172,23 @@ pub fn lower(spec: &WorkloadSpec, batch: usize) -> Result<LoweredWorkload, Lower
     if spec.layers.is_empty() {
         return Err(LowerError::EmptyWorkload(spec.name.clone()));
     }
-    check_names_and_costs(
-        &spec.name,
-        spec.layers
-            .iter()
-            // Saturating is fine for the zero test: a sum only
-            // saturates when it is enormous, never when it is zero.
-            .map(|l| {
-                (
-                    l.name.as_str(),
-                    l.fp_flops,
-                    l.in_bytes.saturating_add(l.out_bytes),
-                )
-            }),
-    )?;
+    let mut seen = std::collections::HashSet::new();
+    for l in &spec.layers {
+        if !seen.insert(l.name.as_str()) {
+            return Err(LowerError::DuplicateLayerName {
+                workload: spec.name.clone(),
+                layer: l.name.clone(),
+            });
+        }
+        // Saturating is fine for the zero test: a sum only saturates
+        // when it is enormous, never when it is zero.
+        if l.fp_flops == 0 && l.in_bytes.saturating_add(l.out_bytes) == 0 {
+            return Err(LowerError::ZeroCostLayer {
+                workload: spec.name.clone(),
+                layer: l.name.clone(),
+            });
+        }
+    }
     let overflow = |layer: &str| LowerError::ArithmeticOverflow {
         workload: spec.name.clone(),
         layer: layer.to_string(),
@@ -302,46 +281,6 @@ pub fn lower(spec: &WorkloadSpec, batch: usize) -> Result<LoweredWorkload, Lower
     })
 }
 
-/// Lowers a built model directly, bypassing the text schema. The
-/// output is definitionally what `simulate_epoch` consumed before the
-/// workload layer existed — [`Model::kernel_profile`] and
-/// [`Model::gradient_buckets`] verbatim — so existing goldens cannot
-/// move.
-pub fn lower_model(model: &Model, batch: usize) -> Result<LoweredWorkload, LowerError> {
-    if batch == 0 {
-        return Err(LowerError::ZeroBatch);
-    }
-    let info = model.layer_info();
-    if info.is_empty() {
-        return Err(LowerError::EmptyWorkload(model.name().to_string()));
-    }
-    check_names_and_costs(
-        model.name(),
-        info.iter().map(|li| {
-            (
-                li.name.as_str(),
-                li.fp_flops,
-                li.in_bytes.saturating_add(li.out_bytes),
-            )
-        }),
-    )?;
-    if model.param_bytes() == 0 {
-        return Err(LowerError::NoParameters(model.name().to_string()));
-    }
-    Ok(LoweredWorkload {
-        name: model.name().to_string(),
-        batch,
-        input_shape: model.input_shape().clone(),
-        param_bytes: model.param_bytes(),
-        kernels: model.kernel_profile(batch),
-        buckets: model.gradient_buckets(),
-        // Builder models always lower to the historical linear chain;
-        // DAG execution is opted into via `WorkloadSpec::from_model_dag`
-        // and the data path.
-        dag: None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,8 +298,6 @@ mod tests {
             lower(&s, 0).unwrap_err().to_string(),
             "batch size must be positive"
         );
-        let m = zoo::lenet();
-        assert_eq!(lower_model(&m, 0), Err(LowerError::ZeroBatch));
     }
 
     #[test]
@@ -410,24 +347,30 @@ mod tests {
     }
 
     #[test]
-    fn lowered_model_matches_kernel_profile() {
-        let m = zoo::lenet();
-        let lw = lower_model(&m, 16).unwrap();
-        assert_eq!(lw.kernels, m.kernel_profile(16));
-        assert_eq!(lw.buckets, m.gradient_buckets());
-        assert_eq!(lw.param_bytes, m.param_bytes());
-        assert_eq!(&lw.input_shape, m.input_shape());
-    }
-
-    #[test]
-    fn spec_lowering_matches_model_lowering() {
-        // The load-bearing identity: a spec extracted from a model
-        // lowers to the exact kernels/buckets the model produces, at
-        // every batch size (linearity in batch is exact).
-        for batch in [1usize, 16, 32, 64] {
-            let m = zoo::lenet();
-            let s = WorkloadSpec::from_model(&m);
-            assert_eq!(lower(&s, batch).unwrap(), lower_model(&m, batch).unwrap());
+    fn model_exports_lower_to_the_builder_profile() {
+        // The load-bearing identity behind `simulate_epoch(&Model)`: a
+        // spec exported from a built model lowers to exactly the
+        // kernels and buckets the model reports, at every batch size
+        // (linearity in batch is exact).
+        let models = [
+            zoo::lenet(),
+            zoo::alexnet(),
+            zoo::googlenet(),
+            zoo::resnet50(),
+            zoo::inception_v3(),
+            zoo::vgg16(),
+        ];
+        for m in &models {
+            let spec = WorkloadSpec::from_model(m);
+            for batch in [1usize, 16, 64] {
+                let lw = lower(&spec, batch).unwrap();
+                assert_eq!(lw.name, m.name());
+                assert_eq!(lw.kernels, m.kernel_profile(batch), "{} b{batch}", m.name());
+                assert_eq!(lw.buckets, m.gradient_buckets(), "{}", m.name());
+                assert_eq!(lw.param_bytes, m.param_bytes(), "{}", m.name());
+                assert_eq!(&lw.input_shape, m.input_shape(), "{}", m.name());
+                assert_eq!(lw.dag, None, "{}", m.name());
+            }
         }
     }
 
@@ -540,8 +483,6 @@ mod tests {
     fn edge_free_specs_lower_without_a_dag() {
         let s = spec("workload v2\nname T\ninput 4\nlayer a fc 0 1 2 4 4 8 0\nend\n");
         assert_eq!(lower(&s, 1).unwrap().dag, None);
-        let m = zoo::lenet();
-        assert_eq!(lower_model(&m, 1).unwrap().dag, None);
     }
 
     #[test]

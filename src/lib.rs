@@ -44,6 +44,6 @@ pub mod prelude {
         PipelineReport, ScalingMode, Sgd, SyntheticDataset, SystemModel, TrainConfig,
     };
     pub use voltascope_workload::{
-        lower, lower_model, Definition, LowerError, LoweredWorkload, ParseError, WorkloadSpec,
+        lower, Definition, LowerError, LoweredWorkload, ParseError, WorkloadSpec,
     };
 }

@@ -3,6 +3,7 @@
 //! tables trustworthy.
 
 use dgx1_repro::prelude::*;
+use dgx1_repro::voltascope::grid::epoch_reports;
 
 #[test]
 fn epoch_simulation_is_bit_deterministic() {
@@ -27,6 +28,15 @@ fn measurement_protocol_reproduces_exactly() {
     assert_eq!(m1, m2);
     assert!(m1.stddev_s > 0.0, "repetition jitter should be visible");
     assert!(m1.stddev_s < 0.1 * m1.mean_s, "jitter should stay small");
+    // The same cell measured through the Fig. 3 grid: one jitter-salt
+    // formula, one lowering path.
+    let spec = experiments::fig3::spec(&[Workload::LeNet])
+        .comms([CommMethod::P2p])
+        .batches([16])
+        .gpu_counts([2]);
+    let rows = experiments::fig3::rows_from(&h, &epoch_reports(&h, &spec, Executor::Serial));
+    assert_eq!(rows.len(), 1);
+    assert_eq!(rows[0].time, m1);
 }
 
 #[test]

@@ -359,6 +359,24 @@ fn stale_files_fail_with_the_right_typed_error() {
     ));
 }
 
+#[test]
+fn snapshots_go_stale_when_the_workload_files_change() {
+    // The fingerprint folds in the registry's digest of the `.workload`
+    // files, so a snapshot saved before a file edit is rejected after
+    // it instead of serving reports of the old layer counts.
+    let h = Harness::paper();
+    let digest = dgx1_repro::voltascope::workloads::registry_digest();
+    let saved = persist::fingerprint_with(&h, digest);
+    assert_eq!(persist::harness_fingerprint(&h), saved);
+    let edited = persist::fingerprint_with(&h, digest ^ 1);
+    let bytes = encode(saved, &arb_entries(5, 2));
+    assert!(decode(&bytes, saved).is_ok());
+    assert!(matches!(
+        decode(&bytes, edited),
+        Err(PersistError::FingerprintMismatch { .. })
+    ));
+}
+
 /// The service_demo request stream: six overlapping sweeps, 72 cells.
 fn demo_stream() -> Vec<GridSpec> {
     vec![

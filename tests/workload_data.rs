@@ -1,18 +1,13 @@
 //! "Workloads as data" integration suite: the checked-in `.workload`
-//! files must stay byte-identical to their Rust builders, the lowered
-//! data path must reproduce the builder path's `EpochReport`s across
-//! the full Fig. 3 grid at every executor, the text format must
-//! round-trip exactly, and every malformed input must come back as a
-//! typed error naming the offending line.
-
-use std::collections::BTreeMap;
-use std::sync::Arc;
+//! files must stay byte-identical to their Rust builders (every zoo
+//! cell times from them), the text format must round-trip exactly,
+//! every malformed input must come back as a typed error naming the
+//! offending line, and no mutation of a checked-in file may panic the
+//! parser or the lowering pass.
 
 use dgx1_repro::prelude::*;
 use proptest::prelude::*;
-use voltascope::grid::{epoch_reports, GridOut};
-use voltascope::workloads::{self, WorkloadSel};
-use voltascope_train::EpochReport as Report;
+use voltascope::workloads;
 use voltascope_workload::{LayerSpec, ParseErrorKind, WorkloadSpec, KNOWN_KINDS};
 
 /// The zoo roster with the stable file stems `export_workloads` uses.
@@ -37,49 +32,6 @@ fn zoo_workload_files_match_builder_exports_byte_for_byte() {
         let spec = WorkloadSpec::from_model(&model);
         assert_eq!(on_disk, spec.to_text(), "{stem}.workload drifted");
         assert_eq!(WorkloadSpec::parse(&on_disk).unwrap(), spec, "{stem}");
-    }
-}
-
-/// Flattens a report grid into a workload-name-keyed map so grids over
-/// zoo selectors and data selectors (different `Cell` keys, same
-/// physics) can be compared cell-for-cell via their `Debug` output.
-fn keyed(out: &GridOut<Arc<Report>>) -> BTreeMap<(String, &'static str, usize, usize), String> {
-    out.iter()
-        .map(|(cell, report)| {
-            (
-                (
-                    cell.workload.name().to_string(),
-                    cell.comm.name(),
-                    cell.batch,
-                    cell.gpus,
-                ),
-                format!("{report:?}"),
-            )
-        })
-        .collect()
-}
-
-#[test]
-fn data_path_reports_match_builders_across_fig3_grid_at_1_2_8_threads() {
-    let h = Harness::paper();
-    let data_sels: Vec<WorkloadSel> = Workload::ALL
-        .iter()
-        .map(|w| {
-            workloads::find_data(w.name())
-                .unwrap_or_else(|| panic!("{} missing from workloads/", w.name()))
-                .into()
-        })
-        .collect();
-    let builder_ref = keyed(&epoch_reports(&h, &GridSpec::paper(), Executor::Serial));
-    assert_eq!(builder_ref.len(), 120, "full fig3 grid");
-    for exec in [
-        Executor::Serial,
-        Executor::Parallel { threads: 2 },
-        Executor::Parallel { threads: 8 },
-    ] {
-        let spec = GridSpec::paper().workloads(data_sels.clone());
-        let data = keyed(&epoch_reports(&h, &spec, exec));
-        assert_eq!(data, builder_ref, "data path diverged under {exec:?}");
     }
 }
 
@@ -193,4 +145,98 @@ fn parser_errors_name_the_offending_line() {
 
     // Every error Display names its line for the CI log.
     assert!(e.to_string().starts_with("line 5, "));
+}
+
+/// Every checked-in `.workload` file, `dag/` exports included, as raw
+/// bytes: the seed corpus of the mutation fuzzer.
+fn corpus() -> Vec<Vec<u8>> {
+    let dir = workloads::workload_dir();
+    let mut files = Vec::new();
+    for d in [dir.clone(), dir.join("dag")] {
+        for entry in std::fs::read_dir(&d).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|x| x == "workload") {
+                files.push(std::fs::read(&path).unwrap());
+            }
+        }
+    }
+    assert!(
+        files.len() >= 9,
+        "expected the zoo, transformer and dag files"
+    );
+    files
+}
+
+/// Applies one mutation, positions reduced modulo the lengths so every
+/// draw is valid: `op` 0 flips a byte; 1 truncates, re-closing the file
+/// with `end` when `pos2` is odd; 2 splices on a suffix of `other`; 3
+/// rewrites a number to `0`, `u64::MAX` or its own digits twice over,
+/// reaching the zero-cost and overflow checks.
+fn mutate(bytes: &mut Vec<u8>, other: &[u8], (op, pos, pos2): (u8, usize, usize)) {
+    if bytes.is_empty() {
+        return;
+    }
+    let at = pos % bytes.len();
+    match op {
+        0 => bytes[at] ^= 1 + (pos2 % 255) as u8,
+        1 => {
+            bytes.truncate(at);
+            if pos2 % 2 == 1 {
+                bytes.extend_from_slice(b"\nend\n");
+            }
+        }
+        2 => {
+            bytes.truncate(at);
+            bytes.extend_from_slice(&other[pos2 % other.len()..]);
+        }
+        _ => {
+            let starts: Vec<usize> = (0..bytes.len())
+                .filter(|&i| bytes[i].is_ascii_digit() && (i == 0 || bytes[i - 1] == b' '))
+                .collect();
+            let Some(&start) = starts.get(pos % starts.len().max(1)) else {
+                return;
+            };
+            let end = (start..bytes.len())
+                .find(|&i| !bytes[i].is_ascii_digit())
+                .unwrap_or(bytes.len());
+            let with = match pos2 % 3 {
+                0 => b"0".to_vec(),
+                1 => u64::MAX.to_string().into_bytes(),
+                _ => bytes[start..end].repeat(2),
+            };
+            bytes.splice(start..end, with);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Checked-in files put through one to three flips, truncations,
+    /// splices and renumberings either fail to parse with a typed
+    /// error or parse to a spec whose lowering at batch 1, 16 and 64
+    /// returns a workload or a typed error — never a panic.
+    #[test]
+    fn mutated_workload_files_never_panic_the_parser_or_lowering(
+        file in 0usize..64,
+        other in 0usize..64,
+        edits in proptest::collection::vec((0u8..4, 0usize..1_000_000, 0usize..1_000_000), 1..4),
+    ) {
+        thread_local!(static CORPUS: Vec<Vec<u8>> = corpus());
+        let bytes = CORPUS.with(|c| {
+            let mut bytes = c[file % c.len()].clone();
+            for &edit in &edits {
+                mutate(&mut bytes, &c[other % c.len()], edit);
+            }
+            bytes
+        });
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(spec) = WorkloadSpec::parse(&text) {
+            for batch in [1usize, 16, 64] {
+                if let Ok(lw) = lower(&spec, batch) {
+                    prop_assert_eq!(lw.kernels.len(), 2 * spec.layers.len());
+                }
+            }
+        }
+    }
 }
