@@ -1,11 +1,12 @@
-//! Grid engine throughput: serial vs parallel execution of a reduced
-//! Fig. 3 sweep. End-to-end sweep timings with a per-layer host-time
-//! ledger come from the `perfbench/` package that `BENCHMARK.json`
-//! declares; this bench isolates the executor alone.
+//! Grid engine throughput: a reduced Fig. 3 sweep through a fresh
+//! (cold) `GridService` per iteration, at 1, 2, 4 and 8 executor
+//! threads. End-to-end sweep timings with a per-layer host-time ledger
+//! come from the `perfbench/` package that `BENCHMARK.json` declares;
+//! this bench isolates the executor's scaling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use voltascope::grid::{Executor, GridSpec};
-use voltascope::{experiments::fig3, Harness};
+use voltascope::{experiments::fig3, service::GridService, Harness};
 use voltascope_dnn::zoo::Workload;
 
 fn bench_grid_executors(c: &mut Criterion) {
@@ -28,7 +29,10 @@ fn bench_grid_executors(c: &mut Criterion) {
             BenchmarkId::new("fig3_reduced", format!("{threads}thread")),
             &exec,
             |b, &exec| {
-                b.iter(|| fig3::grid_with(&harness, &workloads, exec));
+                b.iter(|| {
+                    let service = GridService::with_executor(harness.clone(), exec);
+                    fig3::grid(&service, &workloads)
+                });
             },
         );
     }

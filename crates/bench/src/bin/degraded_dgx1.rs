@@ -7,7 +7,7 @@ use voltascope::experiments::faults;
 
 fn main() {
     let service = voltascope_bench::service();
-    let rows = faults::degraded_grid_service(&service, &voltascope_bench::workloads());
+    let rows = faults::degraded_grid(&service, &voltascope_bench::workloads());
     voltascope_bench::emit(
         "Degraded DGX-1: fault-injection scenarios (batch 16, 8 GPUs)",
         &faults::render(&rows),

@@ -6,7 +6,7 @@ use voltascope::experiments::fig4;
 
 fn main() {
     let service = voltascope_bench::service();
-    let cells = fig4::grid_service(&service, &voltascope_bench::workloads());
+    let cells = fig4::grid(&service, &voltascope_bench::workloads());
     voltascope_bench::emit(
         "Fig. 4: FP+BP vs WU breakdown (NCCL)",
         &fig4::render(&cells),

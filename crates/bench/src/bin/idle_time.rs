@@ -15,7 +15,7 @@ fn main() {
         .workloads([Workload::AlexNet])
         .batches([16])
         .gpu_counts([4, 8]);
-    let out = idle::grid_service(&service, &spec);
+    let out = idle::grid(&service, &spec);
     let index = out.index();
     // ...then printed in the report's (gpus, comm) section order.
     for (workload, gpus) in [(Workload::AlexNet, 4usize), (Workload::AlexNet, 8)] {

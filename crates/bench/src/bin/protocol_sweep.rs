@@ -113,7 +113,10 @@ fn main() {
     // The environment-controlled default: the paper-calibrated
     // singleton unless VOLTASCOPE_NCCL_PROTO opens or pins part of the
     // modern space. CI proves the override changes this section.
-    let costs = collective::NcclCosts::default();
+    let costs = collective::NcclCosts {
+        tuning: TuningSpace::from_env(),
+        ..collective::NcclCosts::default()
+    };
     let ring = Ring::build(&healthy, 8);
     let mut table = TextTable::new(["Message", "AllReduce pick", "Broadcast pick"]);
     for bytes in SIZES {

@@ -61,9 +61,10 @@ pub struct NcclCosts {
     /// NCCL into MXNet" (§V-A).
     pub group_call_overhead: SimSpan,
     /// The (algorithm, protocol, channels) candidate space the
-    /// auto-tuner searches per message size. Defaults to
-    /// [`TuningSpace::from_env`]: the calibrated paper singleton
-    /// unless `VOLTASCOPE_NCCL_PROTO` overrides it.
+    /// auto-tuner searches per message size. Defaults to the
+    /// calibrated paper singleton ([`TuningSpace::paper`]); only
+    /// callers that opt in read the `VOLTASCOPE_NCCL_PROTO` override
+    /// ([`TuningSpace::from_env`]).
     pub tuning: TuningSpace,
     /// Emit link occupancy as *chained chunk tasks* at the protocol's
     /// step granularity ([`Protocol::chunk_bytes`]) instead of one
@@ -88,7 +89,7 @@ impl Default for NcclCosts {
             step_overhead: SimSpan::from_micros(4),
             bandwidth_efficiency: BandwidthEfficiency::default(),
             group_call_overhead: SimSpan::from_micros(300),
-            tuning: TuningSpace::from_env(),
+            tuning: TuningSpace::paper(),
             chunking: false,
         }
     }
@@ -725,13 +726,6 @@ mod tests {
         }
     }
 
-    fn paper_costs() -> NcclCosts {
-        NcclCosts {
-            tuning: TuningSpace::paper(),
-            ..NcclCosts::default()
-        }
-    }
-
     struct Fixture {
         topo: Topology,
         graph: TaskGraph,
@@ -888,7 +882,7 @@ mod tests {
 
     #[test]
     fn single_gpu_all_reduce_is_pure_overhead() {
-        let costs = paper_costs();
+        let costs = NcclCosts::default();
         let t = run_all_reduce(1, 1 << 30, &costs);
         assert_eq!(t, costs.kernel_overhead);
     }
@@ -957,7 +951,7 @@ mod tests {
 
     #[test]
     fn kernel_overhead_lands_on_compute_streams() {
-        let costs = paper_costs();
+        let costs = NcclCosts::default();
         let mut f = fixture(2);
         let ring = Ring::build(&f.topo, 2);
         let _ = all_reduce(
@@ -1093,7 +1087,7 @@ mod tests {
     fn missing_ready_task_panics() {
         let mut f = fixture(1);
         let ring = Ring::build(&f.topo, 2); // ring covers GPU1, fixture doesn't
-        let costs = paper_costs();
+        let costs = NcclCosts::default();
         let _ = all_reduce(
             &mut f.graph,
             &f.net,
@@ -1197,7 +1191,7 @@ mod tests {
 
     #[test]
     fn ll_wins_small_messages_simple_wins_large() {
-        let costs = paper_costs();
+        let costs = NcclCosts::default();
         let sel = |protocol| Selection {
             protocol,
             ..Selection::PAPER
@@ -1236,7 +1230,7 @@ mod tests {
     fn extra_channels_lift_the_ll_rate_cap() {
         // A single LL channel is capped at 5 GB/s; four channels split
         // the payload and overlap their capped serialisation.
-        let costs = paper_costs();
+        let costs = NcclCosts::default();
         let run = |channels: u32| {
             let mut f = fixture(8);
             let ring = Ring::build(&f.topo, 8);
@@ -1268,7 +1262,7 @@ mod tests {
 
     #[test]
     fn multi_channel_emission_is_deadlock_free_and_labelled() {
-        let costs = paper_costs();
+        let costs = NcclCosts::default();
         let mut f = fixture(4);
         let ring = Ring::build(&f.topo, 4);
         let sel = Selection {
@@ -1299,13 +1293,6 @@ mod tree_tests {
     use super::*;
     use voltascope_sim::Engine;
     use voltascope_topo::dgx1_v100;
-
-    fn paper_costs() -> NcclCosts {
-        NcclCosts {
-            tuning: TuningSpace::paper(),
-            ..NcclCosts::default()
-        }
-    }
 
     fn fixture(
         gpus: usize,
@@ -1345,7 +1332,7 @@ mod tree_tests {
                 1 << 20,
                 &ready,
                 &compute,
-                &paper_costs(),
+                &NcclCosts::default(),
                 &Selection::PAPER,
                 "tar",
             )
@@ -1359,8 +1346,10 @@ mod tree_tests {
     #[test]
     fn a_solo_chunked_tree_matches_the_whole_transfer_emission() {
         let run = |chunking: bool| {
-            let mut costs = paper_costs();
-            costs.chunking = chunking;
+            let costs = NcclCosts {
+                chunking,
+                ..NcclCosts::default()
+            };
             let (topo, mut graph, net, compute, ready, devs) = fixture(8);
             let _ = tree_all_reduce(
                 &mut graph,
@@ -1386,7 +1375,7 @@ mod tree_tests {
     #[test]
     fn tree_beats_ring_on_latency_bound_small_messages() {
         // Tiny buckets: ring pays 2(N-1) chunk steps, tree 2 log2 N.
-        let costs = paper_costs();
+        let costs = NcclCosts::default();
         let small = 4 * 1024u64;
 
         let (topo, mut g1, net1, c1, r1, devs) = fixture(8);
@@ -1433,7 +1422,7 @@ mod tree_tests {
     fn ring_beats_tree_on_bandwidth_bound_large_messages() {
         // Large buckets: the tree root's links carry multiple children's
         // full payloads; the ring splits the load across all links.
-        let costs = paper_costs();
+        let costs = NcclCosts::default();
         let big = 200_000_000u64;
 
         let (topo, mut g1, net1, c1, r1, _devs) = fixture(8);
@@ -1479,7 +1468,7 @@ mod tree_tests {
     fn all_reduce_dispatches_to_the_tree_algorithm() {
         // all_reduce with a tree selection must equal a direct
         // tree_all_reduce over the ring's rank order.
-        let costs = paper_costs();
+        let costs = NcclCosts::default();
         let sel = Selection {
             algorithm: Algorithm::Tree,
             ..Selection::PAPER

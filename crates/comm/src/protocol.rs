@@ -424,10 +424,11 @@ impl TuningSpace {
 }
 
 impl Default for TuningSpace {
-    /// [`TuningSpace::from_env`]: the paper space unless
-    /// `VOLTASCOPE_NCCL_PROTO` overrides it.
+    /// [`TuningSpace::paper`]. The environment is never consulted
+    /// here; callers that honour `VOLTASCOPE_NCCL_PROTO` ask for
+    /// [`TuningSpace::from_env`] explicitly.
     fn default() -> Self {
-        TuningSpace::from_env()
+        TuningSpace::paper()
     }
 }
 

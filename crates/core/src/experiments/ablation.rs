@@ -16,8 +16,7 @@ use voltascope_train::EpochReport;
 
 pub use crate::grid::Platform;
 
-use crate::grid::{epoch_reports, Executor, GridOut, GridSpec};
-use crate::harness::Harness;
+use crate::grid::{GridOut, GridSpec};
 use crate::service::GridService;
 
 /// One ablation result.
@@ -42,30 +41,8 @@ pub fn spec(workload: Workload, batch: usize, gpus: usize) -> GridSpec {
 }
 
 /// Runs the topology ablation for one workload/batch/GPU-count, under
-/// both communication methods, honouring the `VOLTASCOPE_THREADS`
-/// executor override.
+/// both communication methods, through `service`.
 pub fn topology_ablation(
-    h: &Harness,
-    workload: Workload,
-    batch: usize,
-    gpus: usize,
-) -> Vec<AblationRow> {
-    topology_ablation_with(h, workload, batch, gpus, Executor::from_env())
-}
-
-/// Runs the topology ablation under an explicit executor.
-pub fn topology_ablation_with(
-    h: &Harness,
-    workload: Workload,
-    batch: usize,
-    gpus: usize,
-    exec: Executor,
-) -> Vec<AblationRow> {
-    rows_from(&epoch_reports(h, &spec(workload, batch, gpus), exec))
-}
-
-/// Runs the topology ablation through a caching sweep service.
-pub fn topology_ablation_service(
     service: &GridService,
     workload: Workload,
     batch: usize,
@@ -109,12 +86,18 @@ pub fn render(rows: &[AblationRow]) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::Executor;
+    use crate::harness::Harness;
+
+    fn ablation(workload: Workload, batch: usize, gpus: usize) -> Vec<AblationRow> {
+        let service = GridService::with_executor(Harness::paper(), Executor::Serial);
+        topology_ablation(&service, workload, batch, gpus)
+    }
 
     #[test]
     fn pcie_only_is_slowest_for_communication_heavy_training() {
-        let h = Harness::paper();
         // AlexNet, 61M weights: communication dominates at 4 GPUs.
-        let rows = topology_ablation(&h, Workload::AlexNet, 16, 4);
+        let rows = ablation(Workload::AlexNet, 16, 4);
         let time = |p: Platform, c: CommMethod| {
             rows.iter()
                 .find(|r| r.platform == p && r.comm == c)
@@ -131,8 +114,7 @@ mod tests {
 
     #[test]
     fn single_lane_never_beats_baseline() {
-        let h = Harness::paper();
-        let rows = topology_ablation(&h, Workload::AlexNet, 16, 2);
+        let rows = ablation(Workload::AlexNet, 16, 2);
         let time = |p: Platform, c: CommMethod| {
             rows.iter()
                 .find(|r| r.platform == p && r.comm == c)
@@ -146,8 +128,7 @@ mod tests {
 
     #[test]
     fn ablation_renders_relative_column() {
-        let h = Harness::paper();
-        let rows = topology_ablation(&h, Workload::LeNet, 16, 2);
+        let rows = ablation(Workload::LeNet, 16, 2);
         let text = render(&rows).render();
         assert!(text.contains("1.00x"));
         assert!(text.contains("PCIe-only"));

@@ -26,8 +26,7 @@ use voltascope_train::EpochReport;
 
 pub use crate::grid::FaultScenario;
 
-use crate::grid::{epoch_reports, Cell, Executor, GridOut, GridSpec};
-use crate::harness::Harness;
+use crate::grid::{Cell, GridOut, GridSpec};
 use crate::service::GridService;
 use crate::workloads::WorkloadSel;
 
@@ -59,34 +58,15 @@ pub fn spec() -> GridSpec {
         .faults(FaultScenario::ALL)
 }
 
-/// Runs the degraded-DGX-1 sweep over `workloads`, honouring the
-/// `VOLTASCOPE_THREADS` executor override.
-pub fn degraded_grid(h: &Harness, workloads: &[Workload]) -> Vec<DegradedRow> {
-    degraded_grid_with(h, workloads, Executor::from_env())
-}
-
-/// Runs the degraded-DGX-1 sweep under an explicit executor.
-pub fn degraded_grid_with(h: &Harness, workloads: &[Workload], exec: Executor) -> Vec<DegradedRow> {
-    grid_rows(h, &spec().workloads(workloads.iter().copied()), exec)
-        .into_pairs()
-        .map(|(_, row)| row)
-        .collect()
-}
-
-/// Runs the degraded-DGX-1 sweep through a caching sweep service. The
-/// idle-percent column walks the iteration traces, so this issues a
-/// *traced* sweep: slim-loaded snapshot entries are recomputed rather
-/// than scanned as fully idle.
-pub fn degraded_grid_service(service: &GridService, workloads: &[Workload]) -> Vec<DegradedRow> {
+/// Runs the degraded-DGX-1 sweep over `workloads` through `service`.
+/// The idle-percent column walks the iteration traces, so this issues
+/// a *traced* sweep: slim-loaded snapshot entries are recomputed
+/// rather than scanned as fully idle.
+pub fn degraded_grid(service: &GridService, workloads: &[Workload]) -> Vec<DegradedRow> {
     rows_from(service.sweep_traced(&spec().workloads(workloads.iter().copied())))
         .into_pairs()
         .map(|(_, row)| row)
         .collect()
-}
-
-/// Computes [`DegradedRow`]s for every cell of an arbitrary spec.
-pub fn grid_rows(h: &Harness, spec: &GridSpec, exec: Executor) -> GridOut<DegradedRow> {
-    rows_from(epoch_reports(h, spec, exec))
 }
 
 /// Derives the degraded rows from a raw report grid.
@@ -161,6 +141,18 @@ mod tests {
     use super::*;
     use voltascope_topo::{Device, FaultSpec};
 
+    use crate::grid::{epoch_reports, Executor};
+    use crate::harness::Harness;
+
+    /// The degraded rows of every cell of `spec`, on the direct
+    /// reference path.
+    fn rows_of(spec: &GridSpec) -> Vec<DegradedRow> {
+        rows_from(epoch_reports(&Harness::paper(), spec, Executor::Serial))
+            .into_pairs()
+            .map(|(_, r)| r)
+            .collect()
+    }
+
     fn epoch_of(rows: &[DegradedRow], w: Workload, c: CommMethod, s: FaultScenario) -> f64 {
         rows.iter()
             .find(|r| r.workload == w && r.comm == c && r.scenario == s)
@@ -170,12 +162,8 @@ mod tests {
 
     #[test]
     fn dead_interface_slows_every_nccl_workload_at_8_gpus() {
-        let h = Harness::paper();
         let spec = spec().workloads([Workload::LeNet, Workload::AlexNet]);
-        let rows: Vec<DegradedRow> = grid_rows(&h, &spec, Executor::Serial)
-            .into_pairs()
-            .map(|(_, r)| r)
-            .collect();
+        let rows = rows_of(&spec);
         for w in [Workload::LeNet, Workload::AlexNet] {
             let healthy = epoch_of(&rows, w, CommMethod::Nccl, FaultScenario::Healthy);
             let dead = epoch_of(&rows, w, CommMethod::Nccl, FaultScenario::DeadNvLink);
@@ -299,7 +287,6 @@ mod tests {
         // The dynamic scenario's epoch must land strictly between the
         // healthy epoch (the fault costs something) and its static
         // twin's (half the epoch ran at the healthy pace).
-        let h = Harness::paper();
         let spec = spec()
             .workloads([Workload::AlexNet])
             .comms([CommMethod::Nccl])
@@ -308,10 +295,7 @@ mod tests {
                 FaultScenario::DeadNvLink,
                 FaultScenario::MidEpochDeadNvLink,
             ]);
-        let rows: Vec<DegradedRow> = grid_rows(&h, &spec, Executor::Serial)
-            .into_pairs()
-            .map(|(_, r)| r)
-            .collect();
+        let rows = rows_of(&spec);
         let healthy = epoch_of(
             &rows,
             Workload::AlexNet,
@@ -342,14 +326,10 @@ mod tests {
         // iteration is already paced by the first straggler it should
         // cost at most a whisker more (sub-percent, from the second
         // slow rank's own comm-phase contribution).
-        let h = Harness::paper();
         let spec = spec()
             .workloads([Workload::AlexNet])
             .faults(FaultScenario::EXTENDED);
-        let rows: Vec<DegradedRow> = grid_rows(&h, &spec, Executor::Serial)
-            .into_pairs()
-            .map(|(_, r)| r)
-            .collect();
+        let rows = rows_of(&spec);
         let one = epoch_of(
             &rows,
             Workload::AlexNet,
@@ -385,12 +365,8 @@ mod tests {
 
     #[test]
     fn render_marks_healthy_deltas_as_zero() {
-        let h = Harness::paper();
         let spec = spec().workloads([Workload::LeNet]);
-        let rows: Vec<DegradedRow> = grid_rows(&h, &spec, Executor::Serial)
-            .into_pairs()
-            .map(|(_, r)| r)
-            .collect();
+        let rows = rows_of(&spec);
         let text = render(&rows).render();
         assert!(text.contains("+0.0"));
         assert!(text.contains("healthy"));

@@ -1,8 +1,8 @@
 //! Memory experiments: Table IV and the §V-D batch-size caps.
 //!
-//! Both sweeps run on the [`crate::grid`] engine; as everywhere, the
-//! plain entry points honour the `VOLTASCOPE_THREADS` override and the
-//! `*_with` variants take an explicit [`Executor`].
+//! Both sweeps are declared as [`GridSpec`]s but evaluate a
+//! closed-form memory model, not a simulation, so they walk
+//! [`GridSpec::cells`] on the calling thread.
 
 use std::collections::HashMap;
 
@@ -12,7 +12,7 @@ use voltascope_dnn::Model;
 use voltascope_profile::TextTable;
 use voltascope_train::GpuRole;
 
-use crate::grid::{run_grid, Executor, GridSpec};
+use crate::grid::GridSpec;
 use crate::harness::Harness;
 use crate::workloads::WorkloadSel;
 
@@ -52,48 +52,42 @@ pub fn table4_spec(workloads: &[Workload]) -> GridSpec {
 }
 
 /// Computes Table IV (4-GPU training; the paper notes the figures are
-/// representative of 2/4/8 GPUs), honouring the `VOLTASCOPE_THREADS`
-/// executor override.
+/// representative of 2/4/8 GPUs).
 ///
 /// # Panics
 ///
 /// Panics if a workload cannot fit batch 16 on the device (none of the
 /// paper's five can fail this).
 pub fn table4(h: &Harness, workloads: &[Workload]) -> Vec<MemoryRow> {
-    table4_with(h, workloads, Executor::from_env())
-}
-
-/// Computes Table IV under an explicit executor.
-pub fn table4_with(h: &Harness, workloads: &[Workload], exec: Executor) -> Vec<MemoryRow> {
     let models = zoo_models(workloads);
-    run_grid(h, &table4_spec(workloads), exec, |ctx| {
-        let model = &models[&ctx.cell.workload];
-        let gpu = &ctx.harness.sys.gpu;
-        let mem = &ctx.harness.memory;
-        let base = mem
-            .usage(model, 16, GpuRole::Worker, gpu)
-            .expect("batch 16 must fit")
-            .training_gib();
-        let server = mem
-            .usage(model, ctx.cell.batch, GpuRole::Server, gpu)
-            .expect("paper batch sizes fit");
-        let worker = mem
-            .usage(model, ctx.cell.batch, GpuRole::Worker, gpu)
-            .expect("paper batch sizes fit");
-        MemoryRow {
-            workload: ctx.cell.workload,
-            batch: ctx.cell.batch,
-            pre_training_gib: worker.pre_training_gib(),
-            gpu0_gib: server.training_gib(),
-            gpux_gib: worker.training_gib(),
-            gpu0_extra_percent: 100.0 * (server.training_gib() - worker.training_gib())
-                / worker.training_gib(),
-            increase_vs_b16_percent: 100.0 * (worker.training_gib() - base) / base,
-        }
-    })
-    .into_pairs()
-    .map(|(_, row)| row)
-    .collect()
+    let (gpu, mem) = (&h.sys.gpu, &h.memory);
+    table4_spec(workloads)
+        .cells()
+        .into_iter()
+        .map(|cell| {
+            let model = &models[&cell.workload];
+            let base = mem
+                .usage(model, 16, GpuRole::Worker, gpu)
+                .expect("batch 16 must fit")
+                .training_gib();
+            let server = mem
+                .usage(model, cell.batch, GpuRole::Server, gpu)
+                .expect("paper batch sizes fit");
+            let worker = mem
+                .usage(model, cell.batch, GpuRole::Worker, gpu)
+                .expect("paper batch sizes fit");
+            MemoryRow {
+                workload: cell.workload,
+                batch: cell.batch,
+                pre_training_gib: worker.pre_training_gib(),
+                gpu0_gib: server.training_gib(),
+                gpux_gib: worker.training_gib(),
+                gpu0_extra_percent: 100.0 * (server.training_gib() - worker.training_gib())
+                    / worker.training_gib(),
+                increase_vs_b16_percent: 100.0 * (worker.training_gib() - base) / base,
+            }
+        })
+        .collect()
 }
 
 /// Renders Table IV.
@@ -140,25 +134,17 @@ pub fn max_batch_spec(workloads: &[Workload]) -> GridSpec {
 }
 
 /// Finds the largest trainable batch size per workload (§V-D: 64 for
-/// Inception-v3 and ResNet, 128 for GoogLeNet on the real machine),
-/// honouring the `VOLTASCOPE_THREADS` executor override.
+/// Inception-v3 and ResNet, 128 for GoogLeNet on the real machine).
 pub fn max_batch(h: &Harness, workloads: &[Workload]) -> Vec<MaxBatchRow> {
-    max_batch_with(h, workloads, Executor::from_env())
-}
-
-/// Computes the capacity search under an explicit executor.
-pub fn max_batch_with(h: &Harness, workloads: &[Workload], exec: Executor) -> Vec<MaxBatchRow> {
     let models = zoo_models(workloads);
-    run_grid(h, &max_batch_spec(workloads), exec, |ctx| MaxBatchRow {
-        workload: ctx.cell.workload,
-        max_batch: ctx
-            .harness
-            .memory
-            .max_batch(&models[&ctx.cell.workload], &ctx.harness.sys.gpu),
-    })
-    .into_pairs()
-    .map(|(_, row)| row)
-    .collect()
+    max_batch_spec(workloads)
+        .cells()
+        .into_iter()
+        .map(|cell| MaxBatchRow {
+            workload: cell.workload,
+            max_batch: h.memory.max_batch(&models[&cell.workload], &h.sys.gpu),
+        })
+        .collect()
 }
 
 /// Renders the capacity-search table.

@@ -1,15 +1,11 @@
 //! Timing experiments: Fig. 3, Table II, Fig. 4, Table III, Fig. 5.
 //!
-//! Every sweep here is declared as a [`GridSpec`] and executed through
-//! the [`crate::grid`] engine; each `grid`/`rows` entry point has a
-//! `*_with` variant taking an explicit [`Executor`], while the plain
-//! variant honours the `VOLTASCOPE_THREADS` environment override.
-//!
-//! Every sweep also has a `*_service` variant that routes through a
-//! caching [`GridService`](crate::service::GridService). Both paths
-//! derive their rows from the same raw [`EpochReport`] grid via a
-//! shared `rows_from`, so their tables are byte-identical — the
-//! service merely skips recomputing cells it has already seen.
+//! Every sweep here is declared as a [`GridSpec`] (`spec`) and issued
+//! through a caching [`GridService`] (`grid`/`rows`), which answers
+//! cells it has already seen and computes the rest on its executor.
+//! Each module derives its rows from the raw [`EpochReport`] grid in
+//! `rows_from`, so the same rows follow from the direct reference
+//! sweep [`crate::grid::epoch_reports`] too.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -19,7 +15,7 @@ use voltascope_dnn::zoo::Workload;
 use voltascope_profile::TextTable;
 use voltascope_train::{EpochReport, ScalingMode};
 
-use crate::grid::{epoch_reports, Cell, Executor, GridOut, GridSpec};
+use crate::grid::{Cell, GridOut, GridSpec};
 use crate::harness::{Harness, Measurement};
 use crate::service::GridService;
 use crate::workloads::WorkloadSel;
@@ -50,10 +46,11 @@ pub struct TrainingTimeCell {
 /// # Example
 ///
 /// ```no_run
-/// use voltascope::{experiments::fig3, Harness};
+/// use voltascope::{experiments::fig3, service::GridService, Harness};
 /// use voltascope_dnn::zoo::Workload;
 ///
-/// let cells = fig3::grid(&Harness::paper(), &[Workload::LeNet]);
+/// let service = GridService::new(Harness::paper());
+/// let cells = fig3::grid(&service, &[Workload::LeNet]);
 /// assert_eq!(cells.len(), 2 * 3 * 4); // methods x batches x gpu counts
 /// ```
 pub mod fig3 {
@@ -64,25 +61,14 @@ pub mod fig3 {
         GridSpec::paper().workloads(workloads.iter().copied())
     }
 
-    /// Computes the grid for the given workloads, honouring the
-    /// `VOLTASCOPE_THREADS` executor override.
-    pub fn grid(h: &Harness, workloads: &[Workload]) -> Vec<TrainingTimeCell> {
-        grid_with(h, workloads, Executor::from_env())
-    }
-
-    /// Computes the grid under an explicit executor.
-    pub fn grid_with(h: &Harness, workloads: &[Workload], exec: Executor) -> Vec<TrainingTimeCell> {
-        rows_from(h, &epoch_reports(h, &spec(workloads), exec))
-    }
-
-    /// Computes the grid through a caching sweep service.
-    pub fn grid_service(service: &GridService, workloads: &[Workload]) -> Vec<TrainingTimeCell> {
+    /// Computes the grid for the given workloads through `service`.
+    pub fn grid(service: &GridService, workloads: &[Workload]) -> Vec<TrainingTimeCell> {
         rows_from(service.base(), &service.sweep(&spec(workloads)))
     }
 
     /// Derives the Fig. 3 rows from a raw report grid: the repetition
     /// protocol's jittered measurement per cell, salted by the cell key
-    /// alone, so both execution paths agree exactly.
+    /// alone, so the measurement never depends on execution order.
     pub fn rows_from(h: &Harness, out: &GridOut<Arc<EpochReport>>) -> Vec<TrainingTimeCell> {
         out.iter()
             .map(|(c, r)| TrainingTimeCell {
@@ -166,19 +152,9 @@ pub mod table2 {
             .gpu_counts([1])
     }
 
-    /// Computes the overhead rows for the given workloads, honouring
-    /// the `VOLTASCOPE_THREADS` executor override.
-    pub fn rows(h: &Harness, workloads: &[Workload]) -> Vec<OverheadRow> {
-        rows_with(h, workloads, Executor::from_env())
-    }
-
-    /// Computes the overhead rows under an explicit executor.
-    pub fn rows_with(h: &Harness, workloads: &[Workload], exec: Executor) -> Vec<OverheadRow> {
-        rows_from(&epoch_reports(h, &spec(workloads), exec))
-    }
-
-    /// Computes the overhead rows through a caching sweep service.
-    pub fn rows_service(service: &GridService, workloads: &[Workload]) -> Vec<OverheadRow> {
+    /// Computes the overhead rows for the given workloads through
+    /// `service`.
+    pub fn rows(service: &GridService, workloads: &[Workload]) -> Vec<OverheadRow> {
         rows_from(&service.sweep(&spec(workloads)))
     }
 
@@ -246,19 +222,8 @@ pub mod fig4 {
             .comms([CommMethod::Nccl])
     }
 
-    /// Computes the breakdown grid, honouring the `VOLTASCOPE_THREADS`
-    /// executor override.
-    pub fn grid(h: &Harness, workloads: &[Workload]) -> Vec<BreakdownCell> {
-        grid_with(h, workloads, Executor::from_env())
-    }
-
-    /// Computes the breakdown grid under an explicit executor.
-    pub fn grid_with(h: &Harness, workloads: &[Workload], exec: Executor) -> Vec<BreakdownCell> {
-        rows_from(&epoch_reports(h, &spec(workloads), exec))
-    }
-
-    /// Computes the breakdown grid through a caching sweep service.
-    pub fn grid_service(service: &GridService, workloads: &[Workload]) -> Vec<BreakdownCell> {
+    /// Computes the breakdown grid through `service`.
+    pub fn grid(service: &GridService, workloads: &[Workload]) -> Vec<BreakdownCell> {
         rows_from(&service.sweep(&spec(workloads)))
     }
 
@@ -322,19 +287,8 @@ pub mod table3 {
             .comms([CommMethod::Nccl])
     }
 
-    /// Computes the rows, honouring the `VOLTASCOPE_THREADS` executor
-    /// override.
-    pub fn rows(h: &Harness) -> Vec<SyncRow> {
-        rows_with(h, Executor::from_env())
-    }
-
-    /// Computes the rows under an explicit executor.
-    pub fn rows_with(h: &Harness, exec: Executor) -> Vec<SyncRow> {
-        rows_from(&epoch_reports(h, &spec(), exec))
-    }
-
-    /// Computes the rows through a caching sweep service.
-    pub fn rows_service(service: &GridService) -> Vec<SyncRow> {
+    /// Computes the rows through `service`.
+    pub fn rows(service: &GridService) -> Vec<SyncRow> {
         rows_from(&service.sweep(&spec()))
     }
 
@@ -397,19 +351,8 @@ pub mod fig5 {
             .scalings([ScalingMode::Strong, ScalingMode::Weak])
     }
 
-    /// Computes the weak-scaling grid, honouring the
-    /// `VOLTASCOPE_THREADS` executor override.
-    pub fn grid(h: &Harness, workloads: &[Workload]) -> Vec<WeakScalingCell> {
-        grid_with(h, workloads, Executor::from_env())
-    }
-
-    /// Computes the weak-scaling grid under an explicit executor.
-    pub fn grid_with(h: &Harness, workloads: &[Workload], exec: Executor) -> Vec<WeakScalingCell> {
-        rows_from(&epoch_reports(h, &spec(workloads), exec))
-    }
-
-    /// Computes the weak-scaling grid through a caching sweep service.
-    pub fn grid_service(service: &GridService, workloads: &[Workload]) -> Vec<WeakScalingCell> {
+    /// Computes the weak-scaling grid through `service`.
+    pub fn grid(service: &GridService, workloads: &[Workload]) -> Vec<WeakScalingCell> {
         rows_from(&service.sweep(&spec(workloads)))
     }
 
@@ -471,14 +414,15 @@ pub mod fig5 {
 mod tests {
     use super::*;
 
-    fn harness() -> Harness {
-        Harness::paper()
+    use crate::grid::Executor;
+
+    fn service() -> GridService {
+        GridService::with_executor(Harness::paper(), Executor::Serial)
     }
 
     #[test]
     fn fig3_lenet_shapes() {
-        let h = harness();
-        let cells = fig3::grid(&h, &[Workload::LeNet]);
+        let cells = fig3::grid(&service(), &[Workload::LeNet]);
         assert_eq!(cells.len(), 24);
         let t = |comm: CommMethod, batch: usize, gpus: usize| -> f64 {
             cells
@@ -516,8 +460,7 @@ mod tests {
         // Regression: the old renderer used Vec::dedup on the row keys,
         // which only removes *consecutive* duplicates — a shuffled cell
         // order silently emitted duplicate rows.
-        let h = harness();
-        let mut cells = fig3::grid_with(&h, &[Workload::LeNet], Executor::Serial);
+        let mut cells = fig3::grid(&service(), &[Workload::LeNet]);
         let canonical = fig3::render(&cells).render();
         // Deterministic shuffle: rotate then interleave halves.
         cells.rotate_left(7);
@@ -544,8 +487,7 @@ mod tests {
 
     #[test]
     fn table2_lenet_overhead_near_paper_value() {
-        let h = harness();
-        let rows = table2::rows(&h, &[Workload::LeNet]);
+        let rows = table2::rows(&service(), &[Workload::LeNet]);
         let b16 = rows.iter().find(|r| r.batch == 16).unwrap();
         // §V-B: 21.8% for LeNet at batch 16 on one GPU.
         assert!(
@@ -565,8 +507,7 @@ mod tests {
 
     #[test]
     fn table3_sync_share_falls_with_batch() {
-        let h = harness();
-        let rows = table3::rows(&h);
+        let rows = table3::rows(&service());
         let pct = |batch, gpus| {
             rows.iter()
                 .find(|r| r.batch == batch && r.gpus == gpus)
@@ -581,8 +522,7 @@ mod tests {
 
     #[test]
     fn fig4_single_gpu_wu_is_negligible() {
-        let h = harness();
-        let cells = fig4::grid(&h, &[Workload::LeNet]);
+        let cells = fig4::grid(&service(), &[Workload::LeNet]);
         let c1 = cells.iter().find(|c| c.gpus == 1 && c.batch == 16).unwrap();
         assert!(c1.wu_s < c1.fp_bp_s, "1-GPU WU should be small");
         let c8 = cells.iter().find(|c| c.gpus == 8 && c.batch == 16).unwrap();
@@ -593,8 +533,7 @@ mod tests {
     fn fig5_weak_scaling_beats_strong_for_lenet() {
         // §V-E: LeNet's weak-scaling speedup exceeds strong scaling
         // because fixed per-epoch overheads amortise over more work.
-        let h = harness();
-        let cells = fig5::grid(&h, &[Workload::LeNet]);
+        let cells = fig5::grid(&service(), &[Workload::LeNet]);
         let cell = cells
             .iter()
             .find(|c| c.comm == CommMethod::Nccl && c.batch == 16 && c.gpus == 8)

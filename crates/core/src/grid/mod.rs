@@ -19,10 +19,14 @@
 //!   or [`Executor::Parallel`] (std `thread::scope` work-chunking over
 //!   an atomic work index; the workspace deliberately has no rayon).
 //!   [`Executor::from_env`] reads the `VOLTASCOPE_THREADS` override.
-//! * [`GridRunner`] — builds each platform variant's [`Harness`] once
-//!   per grid (shared via `Arc` across worker threads), then maps a
-//!   cell function over the enumeration. Each cell's workload
-//!   definition is shared out of the `.workload` registry.
+//! * [`cell_report`] — simulates one cell against the [`Harness`]
+//!   variant [`harness_for`] builds for its (platform, fault) pair.
+//!   Every sweep, cached or not, times its cells through it.
+//!
+//! Experiments issue their sweeps through
+//! [`crate::service::GridService`], which caches reports and runs the
+//! missing cells on an [`Executor`]. [`epoch_reports`] is the uncached
+//! reference sweep the service tests compare it against.
 //!
 //! ## Determinism
 //!
@@ -35,7 +39,7 @@
 //! ## Example
 //!
 //! ```
-//! use voltascope::grid::{cell_report, Executor, GridRunner, GridSpec};
+//! use voltascope::grid::{epoch_reports, Executor, GridSpec};
 //! use voltascope::Harness;
 //! use voltascope_dnn::zoo::Workload;
 //!
@@ -43,11 +47,7 @@
 //!     .workloads([Workload::LeNet])
 //!     .batches([16])
 //!     .gpu_counts([1, 4]);
-//! let harness = Harness::paper();
-//! let runner = GridRunner::new(&harness, &spec);
-//! let out = runner.run(Executor::Serial, &spec, |ctx| {
-//!     cell_report(ctx.harness, ctx.def, &ctx.cell).epoch_time
-//! });
+//! let out = epoch_reports(&Harness::paper(), &spec, Executor::Serial);
 //! assert_eq!(out.len(), 2 * 2); // comm methods x GPU counts
 //! ```
 
@@ -59,7 +59,7 @@ mod spec;
 pub(crate) use cell::cost_rank;
 pub use cell::{Cell, FaultScenario, Platform};
 pub use executor::Executor;
-pub use runner::{cell_report, epoch_reports, harness_for, run_grid, CellCtx, GridOut, GridRunner};
+pub use runner::{cell_report, epoch_reports, harness_for, GridOut};
 pub use spec::{GridSpec, PAPER_BATCHES, PAPER_GPU_COUNTS};
 
 #[allow(unused_imports)] // rustdoc links

@@ -1,4 +1,4 @@
-//! Shared-context grid execution and indexed results.
+//! Per-cell simulation, the direct reference sweep, and indexed results.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -13,70 +13,6 @@ use super::cell::{Cell, FaultScenario, Platform};
 use super::executor::Executor;
 use super::spec::GridSpec;
 use crate::Harness;
-
-/// Everything a cell function needs: the platform-adjusted harness,
-/// resolved once per grid, and the cell's registered workload
-/// definition.
-#[derive(Debug, Clone, Copy)]
-pub struct CellCtx<'r> {
-    /// The grid point being evaluated.
-    pub cell: Cell,
-    /// Harness whose system model matches `cell.platform`.
-    pub harness: &'r Harness,
-    /// The cell's workload definition, shared out of the registry.
-    pub def: &'r Definition,
-}
-
-/// Pre-resolved shared state for one grid: one [`Harness`] per
-/// (platform, fault scenario) combination, behind `Arc` so parallel
-/// workers share them without copying.
-#[derive(Debug, Clone)]
-pub struct GridRunner {
-    harnesses: HashMap<(Platform, FaultScenario), Arc<Harness>>,
-}
-
-impl GridRunner {
-    /// Builds the shared context for `spec`: one harness per
-    /// (platform, fault) pair on the axes.
-    pub fn new(base: &Harness, spec: &GridSpec) -> Self {
-        let mut harnesses = HashMap::new();
-        for &p in spec.platform_axis() {
-            for &f in spec.fault_axis() {
-                harnesses.insert((p, f), Arc::new(harness_for(base, p, f)));
-            }
-        }
-        GridRunner { harnesses }
-    }
-
-    /// Maps `f` over every cell of `spec` under `exec`, returning the
-    /// values in cell-enumeration order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec` names a platform or fault this runner was not
-    /// built for (always build the runner from the same spec, or a
-    /// superset).
-    pub fn run<T, F>(&self, exec: Executor, spec: &GridSpec, f: F) -> GridOut<T>
-    where
-        T: Send,
-        F: Fn(CellCtx<'_>) -> T + Sync,
-    {
-        let cells = spec.cells();
-        let values = exec.run(cells.len(), |i| {
-            let cell = cells[i];
-            let ctx = CellCtx {
-                cell,
-                harness: self
-                    .harnesses
-                    .get(&(cell.platform, cell.fault))
-                    .expect("runner built for this platform and fault axis"),
-                def: cell.workload.resolve(),
-            };
-            f(ctx)
-        });
-        GridOut { cells, values }
-    }
-}
 
 /// Builds the [`Harness`] variant for one (platform, fault) pair:
 /// `base` itself for the healthy baseline DGX-1, otherwise `base` with
@@ -115,9 +51,9 @@ pub fn harness_for(base: &Harness, platform: Platform, fault: FaultScenario) -> 
 /// with the fault lowered to engine events at
 /// [`FaultScenario::mid_epoch_fraction`]. A dynamic report's
 /// steady-state columns describe the **post-fault** regime, while
-/// `epoch_time` is the piecewise composition. Both the direct grid
-/// path ([`epoch_reports`]) and the caching service route every cell
-/// through here, so the two stay interchangeable.
+/// `epoch_time` is the piecewise composition. Both the caching
+/// service and the direct reference path ([`epoch_reports`]) route
+/// every cell through here, so the two stay interchangeable.
 ///
 /// # Panics
 ///
@@ -142,24 +78,27 @@ pub fn cell_report(harness: &Harness, def: &Definition, cell: &Cell) -> EpochRep
     }
 }
 
-/// Runs one grid end to end: build the shared context, execute, return
-/// indexed results. The common entry point for experiment modules.
-pub fn run_grid<T, F>(base: &Harness, spec: &GridSpec, exec: Executor, f: F) -> GridOut<T>
-where
-    T: Send,
-    F: Fn(CellCtx<'_>) -> T + Sync,
-{
-    GridRunner::new(base, spec).run(exec, spec, f)
-}
-
-/// Simulates the raw [`EpochReport`] of every cell of `spec` — the
-/// direct-path twin of [`crate::service::GridService::sweep`]. Both
-/// produce the same `GridOut<Arc<EpochReport>>` shape, so experiment
-/// row derivations are agnostic about which path computed their cells.
+/// Simulates the raw [`EpochReport`] of every cell of `spec`, without
+/// a cache: one [`harness_for`] per
+/// (platform, fault) pair on the spec's axes, then [`cell_report`]
+/// mapped over [`GridSpec::cells`] under `exec`. This is the direct
+/// reference path the service tests compare
+/// [`crate::service::GridService::sweep`] against; both produce the
+/// same `GridOut<Arc<EpochReport>>` shape.
 pub fn epoch_reports(base: &Harness, spec: &GridSpec, exec: Executor) -> GridOut<Arc<EpochReport>> {
-    run_grid(base, spec, exec, |ctx| {
-        Arc::new(cell_report(ctx.harness, ctx.def, &ctx.cell))
-    })
+    let mut harnesses = HashMap::new();
+    for &p in spec.platform_axis() {
+        for &f in spec.fault_axis() {
+            harnesses.insert((p, f), harness_for(base, p, f));
+        }
+    }
+    let cells = spec.cells();
+    let values = exec.run(cells.len(), |i| {
+        let cell = &cells[i];
+        let harness = &harnesses[&(cell.platform, cell.fault)];
+        Arc::new(cell_report(harness, cell.workload.resolve(), cell))
+    });
+    GridOut { cells, values }
 }
 
 /// The results of one grid run: values in cell-enumeration order plus
@@ -269,11 +208,9 @@ mod tests {
 
     #[test]
     fn results_are_indexable_by_cell() {
-        let h = Harness::paper();
-        let spec = small_spec();
-        let out = run_grid(&h, &spec, Executor::Serial, |ctx| {
-            (ctx.cell.batch, ctx.cell.gpus)
-        });
+        let cells = small_spec().cells();
+        let values = cells.iter().map(|c| (c.batch, c.gpus)).collect();
+        let out = GridOut::from_parts(cells, values);
         assert_eq!(out.len(), 4);
         let index = out.index();
         for (cell, value) in out.iter() {
@@ -291,12 +228,22 @@ mod tests {
             .batches([16])
             .gpu_counts([2])
             .platforms([Platform::Dgx1, Platform::PcieOnly]);
-        let out = run_grid(&h, &spec, Executor::Serial, |ctx| {
-            ctx.harness.sys.topo.name().to_string()
-        });
-        let names: Vec<&str> = out.values().iter().map(String::as_str).collect();
+        let names: Vec<String> = spec
+            .cells()
+            .iter()
+            .map(|c| {
+                harness_for(&h, c.platform, c.fault)
+                    .sys
+                    .topo
+                    .name()
+                    .to_string()
+            })
+            .collect();
         assert_eq!(names.len(), 2);
         assert_ne!(names[0], names[1]);
+        // And the direct sweep times each cell on its own platform.
+        let out = epoch_reports(&h, &spec, Executor::Serial);
+        assert_ne!(out.values()[0].epoch_time, out.values()[1].epoch_time);
     }
 
     #[test]
@@ -322,19 +269,16 @@ mod tests {
             .batches([16])
             .gpu_counts([8])
             .faults(FaultScenario::ALL);
-        let out = run_grid(&h, &spec, Executor::Serial, |ctx| {
-            (
-                ctx.cell.fault,
-                ctx.harness.sys.topo.name().to_string(),
-                ctx.harness.sys.gpu_slowdown.len(),
-            )
-        });
-        let index = out.index_by(|c| c.fault);
-        let (_, healthy_name, healthy_slow) = index[&FaultScenario::Healthy];
-        let (_, dead_name, _) = index[&FaultScenario::DeadNvLink];
-        let (_, _, straggler_slow) = index[&FaultScenario::StragglerGpu];
-        assert_eq!(*healthy_slow, 0);
-        assert_ne!(healthy_name, dead_name);
-        assert_eq!(*straggler_slow, 1);
+        let by_fault: HashMap<FaultScenario, Harness> = spec
+            .cells()
+            .iter()
+            .map(|c| (c.fault, harness_for(&h, c.platform, c.fault)))
+            .collect();
+        let healthy = &by_fault[&FaultScenario::Healthy];
+        let dead = &by_fault[&FaultScenario::DeadNvLink];
+        let straggler = &by_fault[&FaultScenario::StragglerGpu];
+        assert!(healthy.sys.gpu_slowdown.is_empty());
+        assert_ne!(healthy.sys.topo.name(), dead.sys.topo.name());
+        assert_eq!(straggler.sys.gpu_slowdown.len(), 1);
     }
 }

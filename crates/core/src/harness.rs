@@ -1,14 +1,13 @@
 //! The experiment harness: configured system + measurement protocol.
 
 use voltascope_comm::CommMethod;
-use voltascope_dnn::{zoo::Workload, Model};
+use voltascope_dnn::Model;
 use voltascope_sim::{mean_stddev, Jitter};
 use voltascope_train::{
     simulate_epoch, EpochReport, MemoryModel, ScalingMode, SystemModel, TrainConfig,
 };
 
 use crate::calibration;
-use crate::grid::{cell_report, Cell, FaultScenario, Platform};
 
 /// A measurement: mean and standard deviation over the repetitions of
 /// the paper's protocol (5 runs per configuration, Fig. 3).
@@ -29,10 +28,12 @@ pub struct Measurement {
 /// use voltascope::Harness;
 /// use voltascope_comm::CommMethod;
 /// use voltascope_dnn::zoo::Workload;
+/// use voltascope_train::ScalingMode;
 ///
 /// let harness = Harness::paper();
-/// let m = harness.training_time(Workload::LeNet, 64, 4, CommMethod::P2p,
-///                               voltascope_train::ScalingMode::Strong);
+/// let model = Workload::LeNet.build();
+/// let report = harness.epoch(&model, 64, 4, CommMethod::P2p, ScalingMode::Strong);
+/// let m = harness.measure(report.epoch_time.as_secs_f64(), 42);
 /// assert!(m.mean_s > 0.0);
 /// assert!(m.stddev_s < m.mean_s);
 /// ```
@@ -94,35 +95,12 @@ impl Harness {
         let (mean_s, stddev_s) = mean_stddev(&samples);
         Measurement { mean_s, stddev_s }
     }
-
-    /// End-to-end: simulate + repetition protocol for one cell of the
-    /// Fig. 3 grid (healthy DGX-1), salted by [`Cell::jitter_salt`]
-    /// exactly as the grid salts it.
-    pub fn training_time(
-        &self,
-        workload: Workload,
-        batch: usize,
-        gpus: usize,
-        comm: CommMethod,
-        scaling: ScalingMode,
-    ) -> Measurement {
-        let cell = Cell {
-            workload: workload.into(),
-            comm,
-            batch,
-            gpus,
-            scaling,
-            platform: Platform::Dgx1,
-            fault: FaultScenario::Healthy,
-        };
-        let report = cell_report(self, cell.workload.resolve(), &cell);
-        self.measure(report.epoch_time.as_secs_f64(), cell.jitter_salt())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use voltascope_dnn::zoo::Workload;
 
     #[test]
     fn measurement_protocol_is_deterministic() {

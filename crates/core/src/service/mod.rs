@@ -12,8 +12,10 @@
 //! rows from. Post-processing (the repetition protocol's jittered
 //! [`crate::Measurement`], FP+BP/WU splits, sync shares, idle scans)
 //! is cheap and deterministic, so experiment modules re-derive their
-//! tables from cached reports and stay byte-identical to the direct
-//! [`crate::grid::GridRunner`] path.
+//! tables from cached reports. Every timing experiment issues its
+//! sweep through this service; [`crate::grid::epoch_reports`] is the
+//! uncached reference sweep its tests compare against. Both time each
+//! cell through [`crate::grid::cell_report`].
 //!
 //! ## Cache keying
 //!
@@ -153,8 +155,8 @@ enum Slot {
 }
 
 /// Lock-guarded service state: the report cache plus the lazily grown
-/// harness pool (the same sharing the [`crate::grid::GridRunner`] does
-/// per grid, but across the service's whole lifetime).
+/// pool of per-(platform, fault) harnesses, shared across the
+/// service's whole lifetime.
 #[derive(Debug, Default)]
 struct State {
     cache: HashMap<Cell, Slot>,
@@ -408,8 +410,7 @@ impl GridService {
 
     /// Runs a full declarative sweep through the cache, returning an
     /// indexed [`GridOut`] in the spec's canonical enumeration order —
-    /// the same shape [`crate::grid::run_grid`] produces, so renderers
-    /// are agnostic about which path computed their cells.
+    /// the same shape [`crate::grid::epoch_reports`] produces.
     pub fn sweep(&self, spec: &GridSpec) -> GridOut<Arc<EpochReport>> {
         let cells = spec.cells();
         let reports = self.run_cells(&cells);

@@ -159,7 +159,7 @@ pub const FORMAT_VERSION: u32 = 5;
 /// Environment variable that opts snapshot saves out of persisting the
 /// steady-state iteration traces. Read by the sweep binaries, not by
 /// the library: explicit callers pass the flag to
-/// [`encode_entries`]/[`save_entries`] or
+/// [`encode_entries`] or
 /// [`GridService::save_with`](super::GridService::save_with).
 pub const SLIM_ENV: &str = "VOLTASCOPE_CACHE_SLIM";
 
@@ -555,30 +555,11 @@ pub fn load_entries_lazy(
     decode_entries_lazy(&image, expected_fingerprint)
 }
 
-/// Writes a full-fat snapshot atomically (see [`save_entries`]).
-pub fn save(
-    path: &Path,
-    fingerprint: u64,
-    entries: &[(Cell, Arc<EpochReport>)],
-) -> Result<(), PersistError> {
-    write_atomic(path, &encode(fingerprint, entries))
-}
-
-/// Writes a snapshot with per-entry slim flags atomically: the image
-/// is assembled in memory, written to a `.tmp` sibling, and renamed
-/// into place, so a crash mid-save can never leave a half-written
-/// snapshot behind (a torn write would be rejected by the checksum
-/// anyway).
-pub fn save_entries(
-    path: &Path,
-    fingerprint: u64,
-    entries: &[(Cell, Arc<EpochReport>, bool)],
-) -> Result<(), PersistError> {
-    write_atomic(path, &encode_entries(fingerprint, entries))
-}
-
 /// Writes a snapshot with explicit per-entry trace sources atomically
-/// (see [`encode_with_traces`] and [`save_entries`]).
+/// (see [`encode_with_traces`]): the image is assembled in memory,
+/// written to a `.tmp` sibling, and renamed into place, so a crash
+/// mid-save can never leave a half-written snapshot behind (a torn
+/// write would be rejected by the checksum anyway).
 pub fn save_with_traces(
     path: &Path,
     fingerprint: u64,
@@ -594,27 +575,6 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
     fs::write(&tmp, bytes)?;
     fs::rename(&tmp, path)?;
     Ok(())
-}
-
-/// Reads and decodes the snapshot at `path`, dropping slim flags. A
-/// missing file surfaces as `PersistError::Io` with
-/// [`PersistError::is_missing_file`] true.
-pub fn load(
-    path: &Path,
-    expected_fingerprint: u64,
-) -> Result<Vec<(Cell, Arc<EpochReport>)>, PersistError> {
-    let bytes = fs::read(path)?;
-    decode(&bytes, expected_fingerprint)
-}
-
-/// Reads and decodes the snapshot at `path`, keeping per-entry slim
-/// flags.
-pub fn load_entries(
-    path: &Path,
-    expected_fingerprint: u64,
-) -> Result<Vec<(Cell, Arc<EpochReport>, bool)>, PersistError> {
-    let bytes = fs::read(path)?;
-    decode_entries(&bytes, expected_fingerprint)
 }
 
 /// FNV-1a over a byte slice — the workspace's standard dependency-free
@@ -1365,7 +1325,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_distinguishable_from_rejection() {
-        let err = load(Path::new("/nonexistent/voltascope.snap"), 1).unwrap_err();
+        let err = load_entries_lazy(Path::new("/nonexistent/voltascope.snap"), 1).unwrap_err();
         assert!(err.is_missing_file());
         assert!(!PersistError::BadMagic.is_missing_file());
     }
@@ -1376,12 +1336,16 @@ mod tests {
             "voltascope-persist-unit-{}.snap",
             std::process::id()
         ));
-        save(&path, 42, &entries()).unwrap();
-        let loaded = load(&path, 42).unwrap();
+        let traced: Vec<_> = entries()
+            .into_iter()
+            .map(|(c, r)| (c, r, TraceOut::Events))
+            .collect();
+        save_with_traces(&path, 42, &traced).unwrap();
+        let loaded = load_entries_lazy(&path, 42).unwrap();
         assert_eq!(loaded.len(), 3);
         // Stale fingerprint: rejected, file untouched.
         assert!(matches!(
-            load(&path, 43),
+            load_entries_lazy(&path, 43),
             Err(PersistError::FingerprintMismatch { .. })
         ));
         std::fs::remove_file(&path).unwrap();

@@ -22,21 +22,23 @@ fn epoch_simulation_is_bit_deterministic() {
 
 #[test]
 fn measurement_protocol_reproduces_exactly() {
+    // One Fig. 3 cell, simulated and measured twice from scratch: one
+    // jitter-salt formula, one lowering path.
     let h = Harness::paper();
-    let m1 = h.training_time(Workload::LeNet, 16, 2, CommMethod::P2p, ScalingMode::Strong);
-    let m2 = h.training_time(Workload::LeNet, 16, 2, CommMethod::P2p, ScalingMode::Strong);
-    assert_eq!(m1, m2);
-    assert!(m1.stddev_s > 0.0, "repetition jitter should be visible");
-    assert!(m1.stddev_s < 0.1 * m1.mean_s, "jitter should stay small");
-    // The same cell measured through the Fig. 3 grid: one jitter-salt
-    // formula, one lowering path.
     let spec = experiments::fig3::spec(&[Workload::LeNet])
         .comms([CommMethod::P2p])
         .batches([16])
         .gpu_counts([2]);
-    let rows = experiments::fig3::rows_from(&h, &epoch_reports(&h, &spec, Executor::Serial));
-    assert_eq!(rows.len(), 1);
-    assert_eq!(rows[0].time, m1);
+    let measure = || {
+        let rows = experiments::fig3::rows_from(&h, &epoch_reports(&h, &spec, Executor::Serial));
+        assert_eq!(rows.len(), 1);
+        rows[0].time
+    };
+    let m1 = measure();
+    let m2 = measure();
+    assert_eq!(m1, m2);
+    assert!(m1.stddev_s > 0.0, "repetition jitter should be visible");
+    assert!(m1.stddev_s < 0.1 * m1.mean_s, "jitter should stay small");
 }
 
 #[test]
@@ -61,12 +63,15 @@ fn fig3_parallel_matches_serial_exactly() {
     // parallel executor returns the same Measurements, in the same
     // order, as a serial sweep — so the rendered tables are
     // byte-identical too.
-    let h = Harness::paper();
     let workloads = [Workload::LeNet, Workload::AlexNet];
-    let serial = experiments::fig3::grid_with(&h, &workloads, Executor::Serial);
+    let fig3_on = |exec| {
+        let service = GridService::with_executor(Harness::paper(), exec);
+        experiments::fig3::grid(&service, &workloads)
+    };
+    let serial = fig3_on(Executor::Serial);
     let serial_table = experiments::fig3::render(&serial).render();
     for threads in [1, 2, 8] {
-        let parallel = experiments::fig3::grid_with(&h, &workloads, Executor::Parallel { threads });
+        let parallel = fig3_on(Executor::Parallel { threads });
         assert_eq!(serial.len(), parallel.len(), "threads = {threads}");
         for (s, p) in serial.iter().zip(parallel.iter()) {
             assert_eq!(s.workload, p.workload, "threads = {threads}");
@@ -84,33 +89,15 @@ fn fig3_parallel_matches_serial_exactly() {
 }
 
 #[test]
-fn table4_parallel_matches_serial_exactly() {
-    let h = Harness::paper();
-    let workloads = [Workload::LeNet, Workload::GoogLeNet];
-    let serial = experiments::memory::table4_with(&h, &workloads, Executor::Serial);
-    let serial_table = experiments::memory::render(&serial).render();
-    for threads in [1, 2, 8] {
-        let parallel =
-            experiments::memory::table4_with(&h, &workloads, Executor::Parallel { threads });
-        assert_eq!(
-            serial_table,
-            experiments::memory::render(&parallel).render(),
-            "threads = {threads}: rendered table drift"
-        );
-    }
-}
-
-#[test]
 fn jitter_salt_depends_on_cell_not_execution_order() {
     // Shrinking the grid (or reordering it) must not change any cell's
     // measurement: the jitter salt is a function of the cell key alone.
-    let h = Harness::paper();
-    let full = experiments::fig3::grid_with(
-        &h,
-        &[Workload::LeNet, Workload::AlexNet],
-        Executor::machine(),
-    );
-    let reduced = experiments::fig3::grid_with(&h, &[Workload::AlexNet], Executor::Serial);
+    let fig3_on = |exec, workloads: &[Workload]| {
+        let service = GridService::with_executor(Harness::paper(), exec);
+        experiments::fig3::grid(&service, workloads)
+    };
+    let full = fig3_on(Executor::machine(), &[Workload::LeNet, Workload::AlexNet]);
+    let reduced = fig3_on(Executor::Serial, &[Workload::AlexNet]);
     for r in &reduced {
         let f = full
             .iter()

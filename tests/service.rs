@@ -8,7 +8,7 @@ use std::collections::HashSet;
 use std::sync::{Arc, Barrier};
 
 use dgx1_repro::prelude::*;
-use voltascope::grid::epoch_reports;
+use voltascope::grid::{epoch_reports, GridOut};
 
 fn cell(workload: Workload, comm: CommMethod, batch: usize, gpus: usize) -> Cell {
     Cell {
@@ -146,8 +146,10 @@ fn assert_same_report(s: &EpochReport, d: &EpochReport, cell: &Cell) {
     assert_eq!(s.fp_bp_iter, d.fp_bp_iter, "{cell:?}");
     assert_eq!(s.wu_iter, d.wu_iter, "{cell:?}");
     assert_eq!(s.sync_wall_iter, d.sync_wall_iter, "{cell:?}");
+    assert_eq!(s.api_iter, d.api_iter, "{cell:?}");
     assert_eq!(s.compute_utilization, d.compute_utilization, "{cell:?}");
-    assert_eq!(s.iter_trace.len(), d.iter_trace.len(), "{cell:?}");
+    assert_eq!(s.iter_trace.events(), d.iter_trace.events(), "{cell:?}");
+    assert_eq!(s.critical_chain, d.critical_chain, "{cell:?}");
 }
 
 #[test]
@@ -168,22 +170,115 @@ fn service_reports_match_the_direct_grid_path_at_every_thread_count() {
     }
 }
 
+const RENDERED: [Workload; 2] = [Workload::LeNet, Workload::AlexNet];
+
+/// The idle sweep the `idle_time` binary prints, over [`RENDERED`].
+fn idle_spec() -> GridSpec {
+    GridSpec::paper()
+        .workloads(RENDERED)
+        .batches([16])
+        .gpu_counts([4, 8])
+}
+
+/// Renders every idle section of `out`, in enumeration order.
+fn idle_text(out: &GridOut<Vec<experiments::idle::IdleRow>>) -> String {
+    out.iter()
+        .map(|(cell, rows)| format!("{cell:?}\n{}", experiments::idle::render(rows).render()))
+        .collect()
+}
+
+/// The eight swept artefacts the binaries serve, rendered through the
+/// service's public entry points.
+fn rendered_through(service: &GridService) -> Vec<(&'static str, String)> {
+    use experiments::{ablation, faults, fig3, fig4, fig5, idle, table2, table3};
+    let ablations = RENDERED
+        .iter()
+        .map(|&w| ablation::render(&ablation::topology_ablation(service, w, 16, 4)).render())
+        .collect();
+    vec![
+        (
+            "fig3",
+            fig3::render(&fig3::grid(service, &RENDERED)).render(),
+        ),
+        (
+            "table2",
+            table2::render(&table2::rows(service, &RENDERED)).render(),
+        ),
+        (
+            "fig4",
+            fig4::render(&fig4::grid(service, &RENDERED)).render(),
+        ),
+        ("table3", table3::render(&table3::rows(service)).render()),
+        (
+            "fig5",
+            fig5::render(&fig5::grid(service, &RENDERED)).render(),
+        ),
+        ("idle", idle_text(&idle::grid(service, &idle_spec()))),
+        (
+            "degraded",
+            faults::render(&faults::degraded_grid(service, &RENDERED)).render(),
+        ),
+        ("ablation", ablations),
+    ]
+}
+
+/// The same eight artefacts rendered from the direct reference sweep.
+fn rendered_directly(h: &Harness) -> Vec<(&'static str, String)> {
+    use experiments::{ablation, faults, fig3, fig4, fig5, idle, table2, table3};
+    let reports = |spec: &GridSpec| epoch_reports(h, spec, Executor::Serial);
+    let ablations = RENDERED
+        .iter()
+        .map(|&w| {
+            ablation::render(&ablation::rows_from(&reports(&ablation::spec(w, 16, 4)))).render()
+        })
+        .collect();
+    vec![
+        (
+            "fig3",
+            fig3::render(&fig3::rows_from(h, &reports(&fig3::spec(&RENDERED)))).render(),
+        ),
+        (
+            "table2",
+            table2::render(&table2::rows_from(&reports(&table2::spec(&RENDERED)))).render(),
+        ),
+        (
+            "fig4",
+            fig4::render(&fig4::rows_from(&reports(&fig4::spec(&RENDERED)))).render(),
+        ),
+        (
+            "table3",
+            table3::render(&table3::rows_from(&reports(&table3::spec()))).render(),
+        ),
+        (
+            "fig5",
+            fig5::render(&fig5::rows_from(&reports(&fig5::spec(&RENDERED)))).render(),
+        ),
+        ("idle", idle_text(&idle::rows_from(reports(&idle_spec())))),
+        (
+            "degraded",
+            faults::render(
+                faults::rows_from(reports(&faults::spec().workloads(RENDERED))).values(),
+            )
+            .render(),
+        ),
+        ("ablation", ablations),
+    ]
+}
+
 #[test]
 fn rendered_tables_are_byte_identical_through_the_service() {
     let h = Harness::paper();
-    let workloads = [Workload::LeNet];
-    let direct = experiments::fig3::render(&experiments::fig3::grid_with(
-        &h,
-        &workloads,
-        Executor::Serial,
-    ))
-    .render();
+    let direct = rendered_directly(&h);
     for threads in [1usize, 2, 8] {
+        // One service per thread count serves all eight artefacts, so
+        // later artefacts are partly answered from the cache.
         let service = GridService::with_executor(h.clone(), Executor::Parallel { threads });
-        let via_service =
-            experiments::fig3::render(&experiments::fig3::grid_service(&service, &workloads))
-                .render();
-        assert_eq!(direct, via_service, "threads = {threads}");
+        let via_service = rendered_through(&service);
+        assert_eq!(via_service.len(), direct.len());
+        for ((name, s), (_, d)) in via_service.iter().zip(&direct) {
+            assert!(!d.is_empty(), "{name}: empty render");
+            assert_eq!(d, s, "{name}, threads = {threads}");
+        }
     }
 }
 
