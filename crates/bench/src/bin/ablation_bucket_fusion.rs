@@ -6,7 +6,7 @@ use voltascope::Harness;
 use voltascope_comm::CommMethod;
 use voltascope_dnn::zoo::Workload;
 use voltascope_profile::TextTable;
-use voltascope_train::{DatasetSpec, ScalingMode, TrainConfig};
+use voltascope_train::{fuse_buckets, DatasetSpec, ScalingMode, TrainConfig};
 
 fn main() {
     let h = Harness::paper();
@@ -36,25 +36,12 @@ fn main() {
                     bucket_fusion_bytes: fusion,
                 };
                 let r = h.epoch_cfg(&model, &cfg);
-                let buckets = if fusion == 0 {
-                    model.gradient_buckets().len()
-                } else {
-                    let mut acc = 0u64;
-                    let mut count = 0usize;
-                    for b in model.gradient_buckets() {
-                        acc += b.bytes;
-                        if acc >= fusion.max(1) {
-                            count += 1;
-                            acc = 0;
-                        }
-                    }
-                    count.max(1)
-                };
+                let (buckets, _) = fuse_buckets(&model.gradient_buckets(), fusion);
                 table.row([
                     workload.name().to_string(),
                     comm.name().to_string(),
                     label.to_string(),
-                    buckets.to_string(),
+                    buckets.len().to_string(),
                     r.wu_iter.to_string(),
                     format!("{:.1}", r.epoch_time.as_secs_f64()),
                 ]);

@@ -72,7 +72,7 @@ fn main() {
         table.row([
             name.to_string(),
             out.len().to_string(),
-            (now.hits + now.coalesced - prev.hits - prev.coalesced).to_string(),
+            (now.hits - prev.hits).to_string(),
             (now.computed - prev.computed).to_string(),
             format!("{:.1}%", 100.0 * now.hit_rate()),
         ]);
@@ -82,7 +82,7 @@ fn main() {
     table.row([
         "TOTAL".to_string(),
         stats.cells.to_string(),
-        (stats.hits + stats.coalesced).to_string(),
+        stats.hits.to_string(),
         stats.computed.to_string(),
         format!("{:.1}%", 100.0 * stats.hit_rate()),
     ]);

@@ -13,7 +13,7 @@
 //! faulted topology, over a [`Ring`] that already routed around dead
 //! links, so a dead NVLink interface can flip the winner.
 //!
-//! A singleton tuning space ([`TuningSpace::paper`]) short-circuits
+//! A singleton tuning space ([`crate::TuningSpace::paper`]) short-circuits
 //! without simulating anything — the calibrated default adds zero
 //! work and reproduces the pre-tuner graphs byte-for-byte.
 

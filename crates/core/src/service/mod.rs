@@ -1,11 +1,10 @@
-//! # Cached, single-flight sweep service over the grid engine
+//! # Cached sweep service over the grid engine
 //!
-//! [`GridService`] is a concurrent request front end for the grid
-//! engine: callers submit sweeps (a [`GridSpec`] or an explicit
-//! [`Cell`] list) and the service answers every cell it has already
-//! computed from a shared cache, coalesces cells another request is
-//! currently computing (single-flight), and schedules only the
-//! genuinely missing cells onto its [`Executor`] worker pool.
+//! [`GridService`] is the request front end for the grid engine:
+//! callers submit sweeps (a [`GridSpec`] or an explicit [`Cell`] list)
+//! and the service answers every cell it has already computed from its
+//! cache and schedules only the missing cells onto its [`Executor`]
+//! worker pool.
 //!
 //! The cached value per cell is the [`EpochReport`] — the raw,
 //! jitter-free simulation output every portable experiment derives its
@@ -27,28 +26,18 @@
 //! memory bound, and eviction would reintroduce recomputation
 //! nondeterminism for long request streams.
 //!
-//! ## Single-flight
+//! ## One request at a time
 //!
-//! A cell is claimed (marked in-flight) under the state lock before
-//! computation starts, so overlapping requests for the same cell
-//! compute it exactly once: the first request computes, later requests
-//! park on a condition variable and are woken when the report is
-//! published.
-//!
-//! ## Panic recovery
-//!
-//! Cell computations are pure simulations and do not panic for valid
-//! cells, but an invalid cell (e.g. a GPU count beyond the topology)
-//! panics inside the simulator. Every claim is therefore protected by
-//! an unwind guard: if the computing request panics before publishing,
-//! the guard reverts all of its unfinished in-flight claims to
-//! *absent* and wakes every waiter. A request that was parked on such
-//! a claim adopts the cell and computes it itself (and, for a
-//! genuinely poisonous cell, observes the same panic rather than a
-//! deadlock). The state lock is never held across a computation, and
-//! lock acquisition recovers from mutex poisoning — the cache's
-//! invariants are maintained by the guards, not by the panicking
-//! section — so one failed request can never wedge the service.
+//! A request holds the state lock from start to finish: it classifies
+//! its cells, computes the missing ones on the executor, publishes
+//! their reports and assembles its answer under one lock. Parallelism
+//! lives inside a request; a second requester waits and then finds
+//! hits, so no cell is ever computed twice. A cell computation must
+//! therefore never call back into its own service
+//! ([`crate::grid::cell_report`] does not). The cache only ever holds
+//! complete entries, so a request that panics (an invalid cell, such
+//! as a GPU count beyond the topology) publishes none of its cells and
+//! leaves the cache as it found it.
 //!
 //! ## Persistence
 //!
@@ -89,7 +78,7 @@
 //!
 //! ## Claim order
 //!
-//! A request computes the cells it claimed longest-first, ranked by
+//! A request computes its missing cells longest-first, ranked by
 //! the static `cost_rank` of each cell (workload weight × batch ×
 //! GPUs). Fig. 3's heaviest cell (Inception-v3, batch 64, 8 GPUs) is
 //! the sweep's makespan floor: started first, it runs while the cheap
@@ -122,7 +111,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use voltascope_train::EpochReport;
 
@@ -133,9 +122,7 @@ use crate::Harness;
 
 use persist::PersistError;
 
-/// One cache entry: either being computed by some request right now,
-/// or done and shareable. A claim whose computation panics is removed
-/// entirely (reverted to absent) by its unwind guard. `DoneSlim`
+/// One complete cache entry. `Done` holds a full report. `DoneSlim`
 /// entries were loaded from a slim snapshot: their scalar fields are
 /// exact but the iteration trace is empty, so trace-consuming requests
 /// treat them as missing and recompute (see the module docs).
@@ -145,7 +132,6 @@ use persist::PersistError;
 /// `Done` in place.
 #[derive(Debug)]
 enum Slot {
-    InFlight,
     Done(Arc<EpochReport>),
     DoneSlim(Arc<EpochReport>),
     DoneLazy {
@@ -174,29 +160,26 @@ pub struct ServiceStats {
     /// Cells answered from a completed cache entry (including entries
     /// preloaded from a snapshot).
     pub hits: u64,
-    /// Cells coalesced onto a computation another request already had
-    /// in flight.
-    pub coalesced: u64,
     /// Intra-request duplicates of a cell the *same* request claimed
     /// moments earlier. These enjoy no cache benefit — the request
     /// pays for the computation itself — so they are tracked apart
-    /// from hits/coalesced and excluded from [`ServiceStats::hit_rate`].
+    /// from hits and excluded from [`ServiceStats::hit_rate`].
     pub repeats: u64,
     /// Cells actually computed (each unique cell at most once, unless
-    /// a panicked claim was reverted and the cell later recomputed).
+    /// its request panicked and a later request computed it again).
     pub computed: u64,
 }
 
 impl ServiceStats {
-    /// Fraction of requested cells answered without new computation
-    /// (cache hits plus cross-request coalescing), in `[0, 1]`; zero
-    /// for no traffic. Intra-request repeats of a freshly claimed cell
-    /// do not count — a cold request `[c, c]` reports a 0% hit rate.
+    /// Fraction of requested cells answered from the cache, in
+    /// `[0, 1]`; zero for no traffic. Intra-request repeats of a
+    /// freshly claimed cell do not count — a cold request `[c, c]`
+    /// reports a 0% hit rate.
     pub fn hit_rate(&self) -> f64 {
         if self.cells == 0 {
             0.0
         } else {
-            (self.hits + self.coalesced) as f64 / self.cells as f64
+            self.hits as f64 / self.cells as f64
         }
     }
 }
@@ -228,57 +211,20 @@ impl fmt::Display for SnapshotStatus {
     }
 }
 
-/// A concurrent sweep front end: deduplicating, caching, single-flight.
-/// See the [module docs](self) for semantics.
+/// A caching sweep front end that serves one request at a time and
+/// computes each cell at most once. See the [module docs](self) for
+/// semantics.
 #[derive(Debug)]
 pub struct GridService {
     base: Harness,
     exec: Executor,
     state: Mutex<State>,
-    ready: Condvar,
     requests: AtomicU64,
     cells: AtomicU64,
     hits: AtomicU64,
-    coalesced: AtomicU64,
     repeats: AtomicU64,
     computed: AtomicU64,
     trace_decodes: AtomicU64,
-}
-
-/// Unwind guard over a request's claimed cells: on drop, any cell the
-/// request claimed but never published is reverted to absent and every
-/// waiter is woken, so a panicking computation cannot leave permanent
-/// in-flight claims behind. On the normal path all claimed cells are
-/// `Done` by drop time and the guard is a cheap no-op sweep.
-///
-/// The guard takes the state lock in `drop`, so it must never be
-/// dropped while the caller holds that lock.
-struct ClaimGuard<'a> {
-    service: &'a GridService,
-    cells: Vec<Cell>,
-}
-
-impl Drop for ClaimGuard<'_> {
-    fn drop(&mut self) {
-        if self.cells.is_empty() {
-            return;
-        }
-        let mut reverted = false;
-        {
-            let mut state = self.service.lock_state();
-            for cell in &self.cells {
-                if matches!(state.cache.get(cell), Some(Slot::InFlight)) {
-                    state.cache.remove(cell);
-                    reverted = true;
-                }
-            }
-        }
-        if reverted {
-            // Waiters re-inspect the slot: absent means "adopt and
-            // compute yourself" (see the assemble loop).
-            self.service.ready.notify_all();
-        }
-    }
 }
 
 impl GridService {
@@ -295,11 +241,9 @@ impl GridService {
             base,
             exec,
             state: Mutex::new(State::default()),
-            ready: Condvar::new(),
             requests: AtomicU64::new(0),
             cells: AtomicU64::new(0),
             hits: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
             repeats: AtomicU64::new(0),
             computed: AtomicU64::new(0),
             trace_decodes: AtomicU64::new(0),
@@ -341,8 +285,8 @@ impl GridService {
 
     /// Snapshots every completed cache entry to `path` (atomically:
     /// temp sibling + rename), keyed by this service's harness
-    /// fingerprint, with full iteration traces. In-flight claims are
-    /// skipped. Returns the number of cells written.
+    /// fingerprint, with full iteration traces. Returns the number of
+    /// cells written.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<usize, PersistError> {
         self.save_with(path, false)
     }
@@ -361,16 +305,16 @@ impl GridService {
             state
                 .cache
                 .iter()
-                .filter_map(|(cell, slot)| match slot {
+                .map(|(cell, slot)| match slot {
                     Slot::Done(report) => {
                         let out = if slim {
                             TraceOut::Slim
                         } else {
                             TraceOut::Events
                         };
-                        Some((*cell, report.clone(), out))
+                        (*cell, report.clone(), out)
                     }
-                    Slot::DoneSlim(report) => Some((*cell, report.clone(), TraceOut::Slim)),
+                    Slot::DoneSlim(report) => (*cell, report.clone(), TraceOut::Slim),
                     // An undecoded lazy entry re-saves its encoded
                     // block verbatim: byte-identical to a fresh encode
                     // (the decoder only accepts canonical blocks) and
@@ -381,9 +325,8 @@ impl GridService {
                         } else {
                             TraceOut::Raw(trace.clone())
                         };
-                        Some((*cell, report.clone(), out))
+                        (*cell, report.clone(), out)
                     }
-                    Slot::InFlight => None,
                 })
                 .collect()
         };
@@ -429,9 +372,10 @@ impl GridService {
     }
 
     /// Answers one request for an explicit cell list: cache hits are
-    /// returned as-is, in-flight cells are awaited, and missing cells
-    /// are claimed and computed on this service's executor. Returns one
-    /// report per input cell, in input order (duplicates allowed).
+    /// returned as-is and missing cells are computed on this service's
+    /// executor. Returns one report per input cell, in input order
+    /// (duplicates allowed). A concurrent request waits until this one
+    /// has finished.
     ///
     /// Slim-marked entries (loaded from a slim snapshot) are served as
     /// ordinary hits — their scalar fields are exact, only the
@@ -440,172 +384,91 @@ impl GridService {
     ///
     /// # Panics
     ///
-    /// Panics if a claimed cell's simulation panics (e.g. an invalid
-    /// GPU count); the claim is reverted first, so other requests are
-    /// unaffected (see the module docs' panic-recovery section).
+    /// Panics if a missing cell's simulation panics (e.g. an invalid
+    /// GPU count). The request then caches none of its cells, and later
+    /// requests are unaffected.
     pub fn run_cells(&self, cells: &[Cell]) -> Vec<Arc<EpochReport>> {
         self.run_cells_traced(cells, false)
     }
 
     /// [`GridService::run_cells`] with an explicit trace requirement:
     /// when `traced` is true, slim-marked entries count as missing and
-    /// are reclaimed and recomputed (publishing the full report, which
-    /// upgrades the cache entry in place).
+    /// are recomputed (publishing the full report, which upgrades the
+    /// cache entry in place).
     pub fn run_cells_traced(&self, cells: &[Cell], traced: bool) -> Vec<Arc<EpochReport>> {
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.cells.fetch_add(cells.len() as u64, Ordering::Relaxed);
+        let mut state = self.lock_state();
 
-        // Claim phase: classify every cell under one lock acquisition.
-        // Missing cells are marked in flight *before* the lock drops,
-        // so no concurrent request can double-compute them. Duplicates
-        // of a cell claimed earlier in this same request are neither
-        // hits nor coalesced — the request pays for the computation —
-        // so they are tracked as `repeats`.
-        let mut mine: Vec<(Cell, Arc<Harness>)> = {
-            let mut state = self.lock_state();
-            let mut mine = Vec::new();
-            let mut claimed_here: HashSet<Cell> = HashSet::new();
-            for &cell in cells {
-                if claimed_here.contains(&cell) {
-                    self.repeats.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                // A traced request touching a lazy entry decodes its
-                // block right here, under the same lock hold,
-                // upgrading the slot to `Done`; a block that fails to
-                // decode falls through and is reclaimed like a
-                // missing cell.
-                if traced
-                    && matches!(state.cache.get(&cell), Some(Slot::DoneLazy { .. }))
-                    && self.upgrade_lazy(&mut state, cell).is_some()
-                {
+        // Classify every cell. Duplicates of a cell claimed earlier in
+        // this same request are not hits — the request pays for the
+        // computation — so they are tracked as `repeats`.
+        let mut mine: Vec<(Cell, Arc<Harness>)> = Vec::new();
+        let mut claimed_here: HashSet<Cell> = HashSet::new();
+        for &cell in cells {
+            if claimed_here.contains(&cell) {
+                self.repeats.fetch_add(1, Ordering::Relaxed);
+                continue;
+            }
+            // A traced request touching a lazy entry decodes its block,
+            // upgrading the slot to `Done`; a block that fails to decode
+            // falls through and is recomputed like a missing cell.
+            if traced
+                && matches!(state.cache.get(&cell), Some(Slot::DoneLazy { .. }))
+                && self.upgrade_lazy(&mut state, cell).is_some()
+            {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                continue;
+            }
+            match state.cache.get(&cell) {
+                Some(Slot::Done(_)) => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    continue;
                 }
-                match state.cache.get(&cell) {
-                    Some(Slot::Done(_)) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Some(Slot::DoneSlim(_) | Slot::DoneLazy { .. }) if !traced => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Some(Slot::InFlight) => {
-                        self.coalesced.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // A slim (or undecodable lazy) entry cannot serve
-                    // a traced request: reclaim it and recompute the
-                    // full report.
-                    Some(Slot::DoneSlim(_) | Slot::DoneLazy { .. }) | None => {
-                        state.cache.insert(cell, Slot::InFlight);
-                        claimed_here.insert(cell);
-                        let harness = Self::harness(&mut state, &self.base, cell);
-                        mine.push((cell, harness));
-                    }
+                Some(Slot::DoneSlim(_) | Slot::DoneLazy { .. }) if !traced => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                }
+                // A slim (or undecodable lazy) entry cannot serve a
+                // traced request: recompute the full report.
+                Some(Slot::DoneSlim(_) | Slot::DoneLazy { .. }) | None => {
+                    claimed_here.insert(cell);
+                    let harness = Self::harness(&mut state, &self.base, cell);
+                    mine.push((cell, harness));
                 }
             }
-            mine
-        };
+        }
 
         // Longest first (see the module docs' claim-order section); the
         // sort is stable, so equal ranks keep their claim order.
         mine.sort_by_key(|(cell, _)| Reverse(cost_rank(cell)));
-
-        // Every claim is covered by the unwind guard from here on: a
-        // panic anywhere below reverts the unpublished claims and
-        // wakes waiters before the panic continues unwinding.
-        let claims = ClaimGuard {
-            service: self,
-            cells: mine.iter().map(|(cell, _)| *cell).collect(),
-        };
-
-        // Compute phase: only the cells this request claimed, on the
-        // worker pool. Each report is published (and waiters notified)
-        // as soon as it exists, not at the end of the batch, so
-        // overlapping requests stream results out of this one.
-        self.exec.run(mine.len(), |i| {
+        let computed = self.exec.run(mine.len(), |i| {
             let (cell, harness) = &mine[i];
-            let report = Arc::new(grid::cell_report(harness, cell.workload.resolve(), cell));
+            let report = grid::cell_report(harness, cell.workload.resolve(), cell);
             self.computed.fetch_add(1, Ordering::Relaxed);
-            let mut state = self.lock_state();
-            state.cache.insert(*cell, Slot::Done(report.clone()));
-            drop(state);
-            self.ready.notify_all();
+            Arc::new(report)
         });
-        // Normal path: everything we claimed is published, so the
-        // guard's sweep finds nothing to revert. Dropped here, before
-        // the assemble lock, because the guard locks the state itself.
-        drop(claims);
-
-        // Assemble phase: by now every cell this request claimed is
-        // done; cells claimed by other requests may still be in
-        // flight, so park on the condition variable until they
-        // publish. An *absent* cell here means its claimant panicked
-        // and the claim was reverted — adopt it and compute inline.
-        let mut state = self.lock_state();
-        let mut reports = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let report = loop {
-                match state.cache.get(cell) {
-                    Some(Slot::Done(report)) => break report.clone(),
-                    // Only reachable when `!traced` (a traced request
-                    // upgraded or reclaimed every slim/lazy entry in
-                    // its claim phase, and computations always publish
-                    // full reports).
-                    Some(Slot::DoneSlim(report) | Slot::DoneLazy { report, .. }) => {
-                        break report.clone()
-                    }
-                    Some(Slot::InFlight) => {
-                        state = self
-                            .ready
-                            .wait(state)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
-                    None => {
-                        state = self.adopt_and_compute(state, *cell);
-                    }
-                }
-            };
-            reports.push(report);
+        for ((cell, _), report) in mine.iter().zip(computed) {
+            state.cache.insert(*cell, Slot::Done(report));
         }
-        reports
-    }
 
-    /// Claims and computes `cell` from the assemble loop, for the case
-    /// where the original claimant panicked and reverted its claim.
-    /// Takes and returns the state guard; the lock is dropped around
-    /// the computation itself.
-    fn adopt_and_compute<'a>(
-        &'a self,
-        mut state: MutexGuard<'a, State>,
-        cell: Cell,
-    ) -> MutexGuard<'a, State> {
-        state.cache.insert(cell, Slot::InFlight);
-        let harness = Self::harness(&mut state, &self.base, cell);
-        drop(state);
-        let claim = ClaimGuard {
-            service: self,
-            cells: vec![cell],
-        };
-        // May panic for a genuinely poisonous cell, in which case the
-        // guard reverts this adoption too and the panic propagates to
-        // this request's caller.
-        let report = Arc::new(grid::cell_report(&harness, cell.workload.resolve(), &cell));
-        self.computed.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut state = self.lock_state();
-            state.cache.insert(cell, Slot::Done(report));
-        }
-        drop(claim);
-        self.ready.notify_all();
-        self.lock_state()
+        // Every requested cell is cached by now. Slim and lazy slots
+        // are only left for a request that is not `traced`.
+        cells
+            .iter()
+            .map(|cell| match state.cache.get(cell) {
+                Some(
+                    Slot::Done(report) | Slot::DoneSlim(report) | Slot::DoneLazy { report, .. },
+                ) => report.clone(),
+                None => unreachable!("request cell {cell:?} was computed above"),
+            })
+            .collect()
     }
 
     /// Decodes a lazy entry's trace block and upgrades its slot to a
     /// full `Done` in place, returning the complete report. `None` if
     /// the slot is not lazy or the block fails to decode (the caller
-    /// reclaims the cell and recomputes — unreachable for snapshots
-    /// this code wrote, since the load already checksummed the image,
-    /// but cheap to stay defensive about).
+    /// recomputes the cell — unreachable for snapshots this code
+    /// wrote, since the load already checksummed the image, but cheap
+    /// to stay defensive about).
     fn upgrade_lazy(&self, state: &mut State, cell: Cell) -> Option<Arc<EpochReport>> {
         let (report, trace) = match state.cache.get(&cell) {
             Some(Slot::DoneLazy { report, trace }) => (report.clone(), trace.clone()),
@@ -630,11 +493,9 @@ impl GridService {
             .clone()
     }
 
-    /// Acquires the state lock, recovering from poisoning: the lock is
-    /// never held across a cell computation, and the claim guards keep
-    /// the cache invariants across unwinds, so a poisoned mutex only
-    /// means "some thread panicked elsewhere", not "the state is
-    /// inconsistent".
+    /// Acquires the state lock, recovering from poisoning: the cache
+    /// only ever holds complete entries, so a poisoned mutex only means
+    /// "an earlier request panicked", not "the state is inconsistent".
     fn lock_state(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -645,7 +506,6 @@ impl GridService {
             requests: self.requests.load(Ordering::Relaxed),
             cells: self.cells.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
             repeats: self.repeats.load(Ordering::Relaxed),
             computed: self.computed.load(Ordering::Relaxed),
         }
@@ -661,8 +521,7 @@ impl GridService {
         self.trace_decodes.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct cells resident in the cache (completed or in
-    /// flight).
+    /// Number of distinct cells resident in the cache.
     pub fn cached_cells(&self) -> usize {
         self.lock_state().cache.len()
     }
@@ -709,7 +568,6 @@ mod tests {
         assert_eq!(stats.cells, 4);
         assert_eq!(stats.computed, 2);
         assert_eq!(stats.hits, 2);
-        assert_eq!(stats.coalesced, 0);
         assert_eq!(stats.repeats, 0);
         assert_eq!(stats.hit_rate(), 0.5);
         assert_eq!(service.cached_cells(), 2);
@@ -726,9 +584,8 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.computed, 1);
         // Intra-request duplicates of a freshly claimed cell are
-        // repeats, not coalesced: the request gained nothing from the
+        // repeats, not hits: the request gained nothing from the
         // cache, so the hit rate must stay zero.
-        assert_eq!(stats.coalesced, 0);
         assert_eq!(stats.repeats, 2);
         assert_eq!(stats.hit_rate(), 0.0);
     }
@@ -791,7 +648,7 @@ mod tests {
             service.run_cells(&[poisonous_cell()]);
         }));
         assert!(result.is_err(), "9-GPU cell must panic");
-        // The claim is gone, not wedged in flight.
+        // Nothing was cached for the failed cell.
         assert_eq!(service.cached_cells(), 0);
 
         // A retry panics again (no deadlock on a stale claim)...
@@ -811,24 +668,37 @@ mod tests {
     }
 
     #[test]
-    fn panic_midway_through_a_request_spares_completed_cells() {
-        // The serial executor computes `mine` longest-first: the
-        // healthy cell outranks the poisonous one (LeNet b64 on 4 GPUs
-        // vs b16 on 9), so it publishes before the poisonous one
-        // panics, wherever it sits in the request. Its report must
-        // survive the unwind; the failed claim must not.
+    fn a_panicking_request_caches_nothing_and_keeps_earlier_cells() {
+        // The serial executor computes longest-first: the healthy cell
+        // outranks the poisonous one (LeNet b64 on 4 GPUs vs b16 on 9),
+        // so it finishes before the poisonous one panics. The request
+        // still publishes none of its cells, while a cell an earlier
+        // request cached stays a hit.
         let service = GridService::with_executor(Harness::paper(), Executor::Serial);
+        let earlier = lenet_cell(16, 2);
+        let first = service.run_cells(&[earlier]);
         let good = lenet_cell(64, 4);
         assert!(cost_rank(&good) > cost_rank(&poisonous_cell()));
         let result = catch_unwind(AssertUnwindSafe(|| {
-            service.run_cells(&[poisonous_cell(), good]);
+            service.run_cells(&[earlier, poisonous_cell(), good]);
         }));
         assert!(result.is_err());
-        assert_eq!(service.cached_cells(), 1, "published cell survives");
-        // The survivor is served as a plain hit.
-        let reports = service.run_cells(&[good]);
-        assert_eq!(reports.len(), 1);
-        assert_eq!(service.stats().hits, 1);
+        assert_eq!(
+            service.cached_cells(),
+            1,
+            "the panicking request cached nothing"
+        );
+        let again = service.run_cells(&[earlier]);
+        assert!(Arc::ptr_eq(&first[0], &again[0]));
+        let stats = service.stats();
+        assert_eq!(
+            stats.hits, 2,
+            "served from cache before and after the panic"
+        );
+        assert_eq!(
+            stats.computed, 2,
+            "the earlier cell and the finished good cell"
+        );
     }
 
     #[test]
@@ -847,10 +717,9 @@ mod tests {
 
     #[test]
     fn concurrent_requests_for_a_panicking_cell_never_deadlock() {
-        // Whatever the interleaving — the second request coalesces
-        // onto the first's claim and adopts it after the revert, or
-        // claims fresh after the revert — both observe the panic and
-        // nothing is left in flight.
+        // Requests are serialised: whichever request runs second finds
+        // the cell still missing after the first one panicked, so both
+        // observe the panic and nothing is cached.
         let service = Arc::new(GridService::with_executor(
             Harness::paper(),
             Executor::Serial,
@@ -1052,27 +921,6 @@ mod tests {
         assert_eq!(again.stats().computed, 1, "still treated as slim");
         let report = traced.get(&lenet_cell(16, 1)).unwrap();
         assert!(!report.iter_trace.events().is_empty());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn save_skips_in_flight_claims() {
-        // save() must only persist Done slots; a wedged or concurrent
-        // in-flight claim is simply absent from the snapshot.
-        let service = GridService::with_executor(Harness::paper(), Executor::Serial);
-        service.run_cells(&[lenet_cell(16, 1)]);
-        {
-            let mut state = service.lock_state();
-            state.cache.insert(lenet_cell(16, 2), Slot::InFlight);
-        }
-        let path = std::env::temp_dir().join(format!(
-            "voltascope-service-partial-{}.snap",
-            std::process::id()
-        ));
-        assert_eq!(service.save(&path).unwrap(), 1);
-        let (warm, status) = GridService::with_snapshot(Harness::paper(), Executor::Serial, &path);
-        assert!(matches!(status, SnapshotStatus::Loaded { cells: 1 }));
-        assert_eq!(warm.cached_cells(), 1);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -19,11 +19,12 @@
 //! filename order (sorted), so [`DataWorkload`] indices — and the
 //! jitter salts derived from them — are stable for a fixed directory
 //! content. A missing directory yields an empty registry. A file that
-//! cannot be read or parsed is reported once on stderr and left out;
-//! the rest still load. Resolving a zoo workload whose file is missing
-//! or broken panics with the stored error. The registry also keeps a
-//! digest of every registered file's bytes, which snapshot
-//! fingerprints fold in so an edited file invalidates cached reports.
+//! cannot be read or parsed, or that repeats an earlier file's `name`,
+//! is reported once on stderr and left out; the rest still load.
+//! Resolving a zoo workload whose file is missing or broken panics
+//! with the stored error. The registry also keeps a digest of every
+//! registered file's bytes, which snapshot fingerprints fold in so an
+//! edited file invalidates cached reports.
 
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -165,6 +166,17 @@ pub enum LoadError {
         /// The parser's typed error, with line and column.
         error: ParseError,
     },
+    /// The file's `name` is already taken by a file loaded before it.
+    /// Lookups resolve a name to one file, so a second file under the
+    /// same name would alias the first one's cells.
+    DuplicateName {
+        /// The later file, which is left out.
+        path: PathBuf,
+        /// The repeated `name` directive.
+        name: String,
+        /// The earlier file that keeps the name.
+        first: PathBuf,
+    },
 }
 
 impl std::fmt::Display for LoadError {
@@ -172,6 +184,12 @@ impl std::fmt::Display for LoadError {
         match self {
             LoadError::Io { path, error } => write!(f, "{}: {error}", path.display()),
             LoadError::Parse { path, error } => write!(f, "{}: {error}", path.display()),
+            LoadError::DuplicateName { path, name, first } => write!(
+                f,
+                "{}: workload name `{name}` is already taken by {}",
+                path.display(),
+                first.display()
+            ),
         }
     }
 }
@@ -200,8 +218,9 @@ pub fn workload_dir() -> PathBuf {
 }
 
 /// Loads every `*.workload` file under `dir` in filename order. Files
-/// that cannot be read or parsed come back as typed [`LoadError`]s
-/// next to the specs that did load. A missing directory is empty.
+/// that cannot be read or parsed, or whose `name` an earlier file
+/// already took, come back as typed [`LoadError`]s next to the specs
+/// that did load. A missing directory is empty.
 /// Pure helper behind the process registry, also used by the
 /// `export_workloads --check` gate.
 pub fn load_dir(dir: &Path) -> LoadedDir {
@@ -245,6 +264,14 @@ pub fn load_dir(dir: &Path) -> LoadedDir {
         };
         match WorkloadSpec::parse(&text) {
             Ok(spec) => {
+                if let Some((first, _)) = loaded.specs.iter().find(|(_, s)| s.name == spec.name) {
+                    loaded.errors.push(LoadError::DuplicateName {
+                        first: first.clone(),
+                        name: spec.name,
+                        path,
+                    });
+                    continue;
+                }
                 let name = path.file_name().map_or(&[][..], |n| n.as_encoded_bytes());
                 loaded.digest = fnv1a_extend(loaded.digest, name);
                 loaded.digest = fnv1a_extend(loaded.digest, &[0]);
@@ -406,6 +433,26 @@ mod tests {
         std::fs::write(dir.join("a_good.workload"), GOOD.replace("8 0", "9 0")).unwrap();
         assert_ne!(load_dir(&dir).digest, before);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_repeated_name_is_a_typed_error_naming_the_later_file() {
+        let dir = temp_dir("duplicate");
+        std::fs::write(dir.join("a_good.workload"), GOOD).unwrap();
+        std::fs::write(dir.join("b_good.workload"), GOOD.replace("8 0", "9 0")).unwrap();
+        let loaded = load_dir(&dir);
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(loaded.specs.len(), 1);
+        assert_eq!(loaded.specs[0].0, dir.join("a_good.workload"));
+        assert_eq!(loaded.errors.len(), 1);
+        assert!(matches!(
+            &loaded.errors[0],
+            LoadError::DuplicateName { path, name, first }
+                if path == &dir.join("b_good.workload")
+                    && name == "Good"
+                    && first == &dir.join("a_good.workload")
+        ));
+        assert!(loaded.errors[0].to_string().contains("b_good.workload"));
     }
 
     #[test]

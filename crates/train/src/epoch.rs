@@ -17,7 +17,7 @@
 use std::collections::BTreeMap;
 
 use voltascope_comm::{collective, tuner, CommMethod, LinkNetwork, ReductionTree, Ring, Selection};
-use voltascope_dnn::{Model, Stage};
+use voltascope_dnn::{GradientBucket, Model, Stage};
 use voltascope_gpu::{ApiCall, ApiCostModel, GpuSpec, KernelCostModel};
 use voltascope_sim::{DynamicEvent, Engine, ResourceId, SimSpan, TaskGraph, TaskId, Trace};
 use voltascope_topo::{dgx1_v100, Device, FaultSpec, Topology};
@@ -310,51 +310,7 @@ pub(crate) fn simulate_epoch_lowered_with_events(
         gpus.iter().map(|&d| (d, sys.kernels_of(d))).collect();
 
     let kernels = &workload.kernels;
-    let layer_buckets = &workload.buckets;
-    // Optional fusion: group consecutive per-layer buckets until each
-    // fused bucket reaches the threshold. `groups[i]` lists the layer
-    // buckets merged into fused bucket i; a fused bucket is ready when
-    // its last member's backward kernel finishes.
-    let mut buckets: Vec<voltascope_dnn::GradientBucket> = Vec::new();
-    let mut member_of: BTreeMap<&str, usize> = BTreeMap::new();
-    {
-        let mut acc_bytes = 0u64;
-        let mut acc_names: Vec<&str> = Vec::new();
-        for b in layer_buckets {
-            acc_bytes += b.bytes;
-            acc_names.push(&b.name);
-            if acc_bytes >= cfg.bucket_fusion_bytes.max(1) {
-                let idx = buckets.len();
-                for n in acc_names.drain(..) {
-                    member_of.insert(n, idx);
-                }
-                buckets.push(voltascope_dnn::GradientBucket {
-                    name: format!("bucket{idx}"),
-                    bytes: acc_bytes,
-                });
-                acc_bytes = 0;
-            }
-        }
-        if !acc_names.is_empty() {
-            // Tail group merges into the previous bucket if one exists.
-            if let Some(last) = buckets.last_mut() {
-                last.bytes += acc_bytes;
-                let idx = buckets.len() - 1;
-                for n in acc_names {
-                    member_of.insert(n, idx);
-                }
-            } else {
-                for n in acc_names {
-                    member_of.insert(n, 0);
-                }
-                buckets.push(voltascope_dnn::GradientBucket {
-                    name: "bucket0".to_string(),
-                    bytes: acc_bytes,
-                });
-            }
-        }
-    }
-    let bucket_index = member_of;
+    let (buckets, bucket_index) = fuse_buckets(&workload.buckets, cfg.bucket_fusion_bytes);
     let batch_bytes = cfg.batch_per_gpu as u64 * DatasetSpec::image_bytes(&workload.input_shape);
     let ring = Ring::build(&sys.topo, cfg.gpu_count);
     let tree = ReductionTree::new(cfg.gpu_count);
@@ -750,6 +706,58 @@ pub(crate) fn simulate_epoch_lowered_with_events(
     )
 }
 
+/// Fuses per-layer gradient buckets (in backward-completion order) per
+/// [`TrainConfig::bucket_fusion_bytes`]: consecutive buckets are grouped
+/// until each fused bucket reaches `threshold` bytes, and a short tail
+/// group merges into the previous bucket. A threshold of `0` keeps one
+/// bucket per layer. Returns the fused buckets, named `bucket{i}`, and
+/// the index of the fused bucket each layer bucket joined, keyed by
+/// layer name. A fused bucket is ready when its last member's backward
+/// kernel finishes.
+pub fn fuse_buckets(
+    layer_buckets: &[GradientBucket],
+    threshold: u64,
+) -> (Vec<GradientBucket>, BTreeMap<&str, usize>) {
+    let mut buckets: Vec<GradientBucket> = Vec::new();
+    let mut member_of: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut acc_bytes = 0u64;
+    let mut acc_names: Vec<&str> = Vec::new();
+    for b in layer_buckets {
+        acc_bytes += b.bytes;
+        acc_names.push(&b.name);
+        if acc_bytes >= threshold.max(1) {
+            let idx = buckets.len();
+            for n in acc_names.drain(..) {
+                member_of.insert(n, idx);
+            }
+            buckets.push(GradientBucket {
+                name: format!("bucket{idx}"),
+                bytes: acc_bytes,
+            });
+            acc_bytes = 0;
+        }
+    }
+    if !acc_names.is_empty() {
+        // Tail group merges into the previous bucket if one exists.
+        if let Some(last) = buckets.last_mut() {
+            last.bytes += acc_bytes;
+            let idx = buckets.len() - 1;
+            for n in acc_names {
+                member_of.insert(n, idx);
+            }
+        } else {
+            for n in acc_names {
+                member_of.insert(n, 0);
+            }
+            buckets.push(GradientBucket {
+                name: "bucket0".to_string(),
+                bytes: acc_bytes,
+            });
+        }
+    }
+    (buckets, member_of)
+}
+
 /// MXNet `device` kvstore: tree-reduce every gradient bucket onto GPU0,
 /// update there, tree-broadcast the weights back (paper §II-B, §V-A).
 #[allow(clippy::too_many_arguments)]
@@ -758,7 +766,7 @@ fn build_p2p_wu(
     net: &LinkNetwork,
     sys: &SystemModel,
     kmodels: &BTreeMap<Device, KernelCostModel>,
-    buckets: &[voltascope_dnn::GradientBucket],
+    buckets: &[GradientBucket],
     gpus: &[Device],
     compute: &BTreeMap<Device, ResourceId>,
     host: &BTreeMap<Device, ResourceId>,
@@ -851,7 +859,7 @@ fn build_nccl_wu(
     net: &LinkNetwork,
     sys: &SystemModel,
     kmodels: &BTreeMap<Device, KernelCostModel>,
-    buckets: &[voltascope_dnn::GradientBucket],
+    buckets: &[GradientBucket],
     gpus: &[Device],
     compute: &BTreeMap<Device, ResourceId>,
     ring: &Ring,

@@ -52,7 +52,9 @@ pub use dataset::{DatasetSpec, ScalingMode, ShuffledSampler, SyntheticDataset};
 pub use dynamic::{
     simulate_epoch_dynamic, simulate_epoch_dynamic_lowered, DynamicEpochReport, MidEpochFault,
 };
-pub use epoch::{simulate_epoch, simulate_epoch_lowered, EpochReport, SystemModel, TrainConfig};
+pub use epoch::{
+    fuse_buckets, simulate_epoch, simulate_epoch_lowered, EpochReport, SystemModel, TrainConfig,
+};
 pub use memory::{GpuRole, MemoryModel, MemoryUsage};
 pub use optimizer::{Sgd, SgdState};
 pub use parallel::{flatten, unflatten, DataParallel};

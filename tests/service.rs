@@ -1,8 +1,8 @@
-//! Service-layer contract: the cached sweep front end must be
-//! single-flight (each cell computed exactly once no matter how many
-//! concurrent requests ask for it), byte-identical to the direct grid
-//! path at any thread count, and keyed on the *full* cell — platform
-//! and fault variants may never answer each other's requests.
+//! Service-layer contract: the cached sweep front end serves one
+//! request at a time, so each cell is computed exactly once no matter
+//! how many concurrent requests ask for it; it is byte-identical to the
+//! direct grid path at any thread count, and keyed on the *full* cell —
+//! platform and fault variants may never answer each other's requests.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Barrier};
@@ -55,7 +55,7 @@ fn concurrent_identical_requests_compute_each_cell_exactly_once() {
     assert_eq!(stats.requests, requesters as u64);
     assert_eq!(stats.cells, (requesters * cells.len()) as u64);
     assert_eq!(
-        stats.hits + stats.coalesced + stats.repeats + stats.computed,
+        stats.hits + stats.repeats + stats.computed,
         stats.cells,
         "every requested cell classified exactly once"
     );
@@ -63,6 +63,9 @@ fn concurrent_identical_requests_compute_each_cell_exactly_once() {
         stats.repeats, 0,
         "no request contained intra-request duplicates"
     );
+    // Requests are serialised: the first computes every cell, and each
+    // later request finds all of them cached.
+    assert_eq!(stats.hits, ((requesters - 1) * cells.len()) as u64);
     // Every requester got the same shared reports.
     for reports in &results {
         assert_eq!(reports.len(), cells.len());
@@ -76,9 +79,8 @@ fn concurrent_identical_requests_compute_each_cell_exactly_once() {
 fn randomized_stress_keeps_the_accounting_balanced() {
     // Overlapping, shuffled subsets of a mixed-cost pool from 3
     // threads: each request computes its claims longest-first, not in
-    // the order they arrive, so overlapping requests race on cells in
-    // varying orders. Single-flight must still hold and every report
-    // must match the direct grid path.
+    // the order they arrive. Each cell must still be computed exactly
+    // once, and every report must match the direct grid path.
     let spec = GridSpec::paper()
         .workloads([Workload::LeNet, Workload::AlexNet])
         .batches([16]);
@@ -105,7 +107,7 @@ fn randomized_stress_keeps_the_accounting_balanced() {
         let stats = service.stats();
         assert_eq!(stats.computed, union.len() as u64, "threads = {threads}");
         assert_eq!(
-            stats.hits + stats.coalesced + stats.repeats + stats.computed,
+            stats.hits + stats.repeats + stats.computed,
             stats.cells,
             "threads = {threads}"
         );
@@ -307,7 +309,6 @@ fn cache_keys_distinguish_platform_and_fault_variants() {
     let stats = service.stats();
     assert_eq!(stats.computed, variants.len() as u64);
     assert_eq!(stats.hits, 0);
-    assert_eq!(stats.coalesced, 0);
 
     // And the variants genuinely simulate different systems: every
     // epoch time differs from the baseline's.
