@@ -43,8 +43,9 @@ pub fn service() -> GridService {
 
 /// Re-saves the service's cache to the `VOLTASCOPE_CACHE` snapshot (a
 /// no-op when the variable is unset) and reports the request-stream
-/// hit rate plus the lazy trace-decode count on stderr (a warm
-/// table-only run reports `trace decodes 0` — CI asserts it). With
+/// hit rate, the lazy trace-decode count and the tuner memo's solves
+/// of its lookups on stderr (a warm table-only run reports `trace
+/// decodes 0` — CI asserts it). With
 /// `VOLTASCOPE_CACHE_SLIM=1` the iteration traces are omitted from
 /// the written snapshot (see [`persist::slim_from_env`]). Call once,
 /// after the last sweep.
@@ -57,12 +58,15 @@ pub fn save_service(service: &GridService) {
     }
     let slim = persist::slim_from_env();
     let stats = service.stats();
+    let tuner = service.tuner_stats();
     match service.save_with(&path, slim) {
         Ok(cells) => eprintln!(
-            "voltascope-bench: saved {cells} cells{} to {path} (request hit rate {:.1}%, trace decodes {})",
+            "voltascope-bench: saved {cells} cells{} to {path} (request hit rate {:.1}%, trace decodes {}, tuner solves {} of {})",
             if slim { " (slim)" } else { "" },
             stats.hit_rate() * 100.0,
-            service.trace_decodes()
+            service.trace_decodes(),
+            tuner.solves,
+            tuner.lookups
         ),
         Err(e) => eprintln!("voltascope-bench: failed to save cache {path}: {e}"),
     }

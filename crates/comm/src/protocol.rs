@@ -281,7 +281,7 @@ impl fmt::Display for Selection {
 }
 
 /// The candidate set the auto-tuner searches.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TuningSpace {
     /// Candidate algorithms, in tie-break preference order.
     pub algorithms: Vec<Algorithm>,
@@ -336,7 +336,9 @@ impl TuningSpace {
     /// if repeated), `ring`/`tree` only the named algorithms, `chN`
     /// pins the channel count to `N`, and `auto` keeps the full modern
     /// space. Tokens are comma-separated and case-insensitive:
-    /// `"ll128,tree,ch2"` pins a 2-channel LL128 tree.
+    /// `"ll128,tree,ch2"` pins a 2-channel LL128 tree. A repeated token
+    /// counts once, at its first occurrence, which fixes its tie-break
+    /// rank.
     ///
     /// # Errors
     ///
@@ -347,17 +349,22 @@ impl TuningSpace {
         let mut algorithms: Vec<Algorithm> = Vec::new();
         let mut protocols: Vec<Protocol> = Vec::new();
         let mut channels: Vec<u32> = Vec::new();
+        fn push_new<T: PartialEq>(axis: &mut Vec<T>, value: T) {
+            if !axis.contains(&value) {
+                axis.push(value);
+            }
+        }
         for raw in value.split(',') {
             let token = raw.trim().to_ascii_lowercase();
             match token.as_str() {
                 "" | "auto" => {}
-                "ll" => protocols.push(Protocol::Ll),
-                "ll128" => protocols.push(Protocol::Ll128),
-                "simple" => protocols.push(Protocol::Simple),
-                "ring" => algorithms.push(Algorithm::Ring),
-                "tree" => algorithms.push(Algorithm::Tree),
+                "ll" => push_new(&mut protocols, Protocol::Ll),
+                "ll128" => push_new(&mut protocols, Protocol::Ll128),
+                "simple" => push_new(&mut protocols, Protocol::Simple),
+                "ring" => push_new(&mut algorithms, Algorithm::Ring),
+                "tree" => push_new(&mut algorithms, Algorithm::Tree),
                 _ => match token.strip_prefix("ch").and_then(|n| n.parse::<u32>().ok()) {
-                    Some(c) if c >= 1 => channels.push(c),
+                    Some(c) if c >= 1 => push_new(&mut channels, c),
                     _ => {
                         return Err(CommError::UnknownTuningToken {
                             token: raw.trim().to_string(),
@@ -482,6 +489,26 @@ mod tests {
         );
         let s = TuningSpace::parse_override("ll,simple").unwrap();
         assert_eq!(s.protocols, vec![Protocol::Ll, Protocol::Simple]);
+    }
+
+    #[test]
+    fn repeated_override_tokens_count_once_in_first_occurrence_order() {
+        let s = TuningSpace::parse_override("ll,ll,ring,ch1").unwrap();
+        assert_eq!(s.protocols, vec![Protocol::Ll]);
+        assert_eq!(s.algorithms, vec![Algorithm::Ring]);
+        assert_eq!(
+            s.singleton(),
+            Some(Selection {
+                algorithm: Algorithm::Ring,
+                protocol: Protocol::Ll,
+                channels: 1,
+            })
+        );
+        let s = TuningSpace::parse_override("simple,ch4,ll,SIMPLE,ch1,ch4,tree,ring,tree").unwrap();
+        assert_eq!(s.protocols, vec![Protocol::Simple, Protocol::Ll]);
+        assert_eq!(s.channels, vec![4, 1]);
+        assert_eq!(s.algorithms, vec![Algorithm::Tree, Algorithm::Ring]);
+        assert_eq!(s.candidates().count(), 2 * 2 * 2);
     }
 
     #[test]

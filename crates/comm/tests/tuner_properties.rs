@@ -1,10 +1,13 @@
 //! Property tests of the NCCL auto-tuner: the chosen candidate is
 //! never beaten by an unchosen one at any swept size, selection is
-//! deterministic, tuned cost is monotone in payload, and tuning on a
-//! degraded topology never routes a collective through a killed link.
+//! deterministic, tuned cost is monotone in payload, tuning on a
+//! degraded topology never routes a collective through a killed link,
+//! and the shared [`tuner::TunerMemo`] answers exactly what the free
+//! functions do.
 
 use proptest::prelude::*;
 use voltascope_comm::{collective, tuner, Ring, Selection, TuningSpace};
+use voltascope_sim::SimSpan;
 use voltascope_topo::{dgx1_v100, Device, FaultSpec, Topology};
 
 fn modern_costs() -> collective::NcclCosts {
@@ -28,6 +31,132 @@ fn scenarios() -> Vec<(Topology, Vec<(Device, Device)>)> {
         (dead_cable, vec![(g(3), g(5))]),
         (dead_iface, iface_pairs),
     ]
+}
+
+/// Override strings the memo property draws its tuning spaces from:
+/// the full modern space, narrowed spaces, repeated tokens, and a
+/// singleton that must bypass the memo.
+const OVERRIDES: [&str; 8] = [
+    "auto",
+    "ll",
+    "ll128,tree",
+    "simple,ring,ch1,ch2",
+    "tree,ch4",
+    "ll,ll,simple,ch2",
+    "ll128,ring,ch1",
+    "ring,ll,ch1,ch1",
+];
+
+/// The endpoints of every NVLink brick of `topo`, in link order.
+fn nvlinks(topo: &Topology) -> Vec<(Device, Device)> {
+    topo.links()
+        .iter()
+        .filter(|l| l.kind.is_nvlink())
+        .map(|l| (l.a, l.b))
+        .collect()
+}
+
+/// A fault spec over the DGX-1's NVLink pairs, decoded from sampled
+/// indices: up to two dead bricks, an optional dead NVLink interface,
+/// an optional downgraded brick, link jitter and a straggler. Indices
+/// past the end of a list mean "none".
+fn fault_spec(
+    kills: &[usize],
+    iface: usize,
+    degrade: (usize, f64),
+    jitter_ns: u64,
+    slow: usize,
+) -> FaultSpec {
+    let nvlinks = nvlinks(&dgx1_v100());
+    let mut spec = FaultSpec::new();
+    let mut killed = Vec::new();
+    for &k in kills {
+        if let Some(&(a, b)) = nvlinks.get(k) {
+            if !killed.contains(&(a, b)) {
+                killed.push((a, b));
+                spec = spec.kill_link(a, b);
+            }
+        }
+    }
+    if iface < 8 {
+        spec = spec.kill_nvlinks_of(Device::gpu(iface as u8));
+    }
+    if let Some(&(a, b)) = nvlinks.get(degrade.0) {
+        spec = spec.degrade_link(a, b, degrade.1);
+    }
+    if slow < 8 {
+        spec = spec.slow_gpu(Device::gpu(slow as u8), 1.5);
+    }
+    spec.link_jitter(SimSpan::from_nanos(jitter_ns))
+}
+
+/// Link jitter: none half the time, otherwise up to 2 us.
+fn jitter_ns() -> impl Strategy<Value = u64> {
+    (proptest::bool::ANY, 0u64..2_000).prop_map(|(on, ns)| if on { ns } else { 0 })
+}
+
+/// A payload from 1 B to 1 GiB, log-uniform over its bit length.
+fn payload() -> impl Strategy<Value = u64> {
+    (0u32..31, 0u64..u64::MAX).prop_map(|(shift, raw)| (1 + raw % (1u64 << shift)).min(1 << 30))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The memo returns the free functions' choices for any fault
+    /// spec, payload from 1 B to 1 GiB, GPU count and override space.
+    /// One memo answers a family of problems that differ in one input
+    /// at a time (link bandwidth, fabric, payload, space), so a key
+    /// that confused two of them would answer one with the other's
+    /// choice; asking again solves nothing new.
+    #[test]
+    fn memo_matches_the_free_functions(
+        kills in proptest::collection::vec(0usize..40, 0..3),
+        (iface, slow) in (0usize..24, 0usize..16),
+        degrade in (0usize..40, 0.1f64..1.0),
+        jitter_ns in jitter_ns(),
+        sizes in (payload(), payload()),
+        (gpus, spaces) in (2usize..9, (0usize..OVERRIDES.len(), 0usize..OVERRIDES.len())),
+    ) {
+        let healthy = dgx1_v100();
+        // Differs from the healthy fabric in link bandwidth only.
+        let downgraded = healthy.apply(&nvlinks(&healthy).into_iter().fold(
+            FaultSpec::new(),
+            |spec, (a, b)| spec.degrade_link(a, b, degrade.1),
+        ));
+        let faulted = healthy.apply(&fault_spec(&kills, iface, degrade, jitter_ns, slow));
+        let memo = tuner::TunerMemo::default();
+        let mut problems = Vec::new();
+        for topo in [&healthy, &downgraded, &faulted] {
+            let ring = Ring::build(topo, gpus);
+            for bytes in [sizes.0, sizes.1] {
+                for space in [spaces.0, spaces.1] {
+                    let costs = collective::NcclCosts {
+                        tuning: TuningSpace::parse_override(OVERRIDES[space]).unwrap(),
+                        ..collective::NcclCosts::default()
+                    };
+                    let want = (
+                        tuner::choose_all_reduce(topo, &ring, bytes, &costs).unwrap(),
+                        tuner::choose_broadcast(topo, &ring, bytes, &costs).unwrap(),
+                    );
+                    prop_assert_eq!(
+                        memo.choose(topo, &ring, bytes, &costs).unwrap(),
+                        want,
+                        "{} on {} GPUs, {bytes} bytes, {:?}",
+                        topo.name(),
+                        gpus,
+                        OVERRIDES[space]
+                    );
+                    problems.push((topo, ring.clone(), bytes, costs, want));
+                }
+            }
+        }
+        let solves = memo.stats().solves;
+        for (topo, ring, bytes, costs, want) in &problems {
+            prop_assert_eq!(memo.choose(topo, ring, *bytes, costs).unwrap(), *want);
+        }
+        prop_assert_eq!(memo.stats().solves, solves, "a repeated problem was solved again");
+    }
 }
 
 proptest! {

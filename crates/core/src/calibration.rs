@@ -95,6 +95,7 @@ pub fn dgx1_system() -> SystemModel {
         bp_wu_overlap: false,
         gpu_slowdown: Default::default(),
         compute_streams: 1,
+        tuner: Default::default(),
     }
 }
 

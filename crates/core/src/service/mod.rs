@@ -113,6 +113,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use voltascope_comm::tuner::{TunerMemo, TunerStats};
 use voltascope_train::EpochReport;
 
 use crate::grid::{
@@ -235,8 +236,11 @@ impl GridService {
         Self::with_executor(base, Executor::from_env())
     }
 
-    /// A service with an explicit executor for missing cells.
-    pub fn with_executor(base: Harness, exec: Executor) -> Self {
+    /// A service with an explicit executor for missing cells. The
+    /// service installs a fresh [`TunerMemo`] in `base`, so every cell
+    /// it computes shares one memo that no other service shares.
+    pub fn with_executor(mut base: Harness, exec: Executor) -> Self {
+        base.sys.tuner = TunerMemo::default();
         GridService {
             base,
             exec,
@@ -519,6 +523,14 @@ impl GridService {
     /// served them.
     pub fn trace_decodes(&self) -> u64 {
         self.trace_decodes.load(Ordering::Relaxed)
+    }
+
+    /// Lookups and solves of this service's NCCL tuner memo so far.
+    /// Like [`GridService::trace_decodes`], this says what the service
+    /// computed, not how requests were answered, so it is not part of
+    /// [`ServiceStats`].
+    pub fn tuner_stats(&self) -> TunerStats {
+        self.base.sys.tuner.stats()
     }
 
     /// Number of distinct cells resident in the cache.

@@ -16,7 +16,8 @@
 
 use std::collections::BTreeMap;
 
-use voltascope_comm::{collective, tuner, CommMethod, LinkNetwork, ReductionTree, Ring, Selection};
+use voltascope_comm::tuner::TunerMemo;
+use voltascope_comm::{collective, CommMethod, LinkNetwork, ReductionTree, Ring, Selection};
 use voltascope_dnn::{GradientBucket, Model, Stage};
 use voltascope_gpu::{ApiCall, ApiCostModel, GpuSpec, KernelCostModel};
 use voltascope_sim::{DynamicEvent, Engine, ResourceId, SimSpan, TaskGraph, TaskId, Trace};
@@ -73,6 +74,11 @@ pub struct SystemModel {
     /// overlap, modelling multi-stream execution; linear chains are
     /// unaffected because their kernels are dependency-serialised.
     pub compute_streams: u32,
+    /// Memo of NCCL tuner choices. Clones share it, so every harness
+    /// derived from one system (fault variants included) solves each
+    /// distinct tuning problem once; a sweep service installs a fresh
+    /// one per service.
+    pub tuner: TunerMemo,
 }
 
 impl SystemModel {
@@ -91,6 +97,7 @@ impl SystemModel {
             bp_wu_overlap: false,
             gpu_slowdown: BTreeMap::new(),
             compute_streams: 1,
+            tuner: TunerMemo::default(),
         }
     }
 
@@ -314,10 +321,12 @@ pub(crate) fn simulate_epoch_lowered_with_events(
     let batch_bytes = cfg.batch_per_gpu as u64 * DatasetSpec::image_bytes(&workload.input_shape);
     let ring = Ring::build(&sys.topo, cfg.gpu_count);
     let tree = ReductionTree::new(cfg.gpu_count);
-    // Tune the NCCL (algorithm, protocol, channels) per distinct
-    // bucket size once — bucket sizes are identical across the three
-    // pipelined iterations, and with the calibrated singleton space
-    // the tuner short-circuits without simulating anything. Built on
+    // Tune the NCCL (algorithm, protocol, channels) once per distinct
+    // bucket size — bucket sizes are identical across the three
+    // pipelined iterations. The system's memo solves each distinct
+    // (fabric, ring, size, costs) problem once across every cell that
+    // shares it, and with the calibrated singleton space it
+    // short-circuits without simulating or locking anything. Tuned on
     // the (possibly degraded) topology, so a dead NVLink renegotiates
     // the choice along with the ring.
     let nccl_sel: BTreeMap<u64, (Selection, Selection)> = match cfg.comm {
@@ -327,11 +336,11 @@ pub(crate) fn simulate_epoch_lowered_with_events(
             .collect::<std::collections::BTreeSet<u64>>()
             .into_iter()
             .map(|bytes| {
-                let ar = tuner::choose_all_reduce(&sys.topo, &ring, bytes, &sys.nccl)
+                let choice = sys
+                    .tuner
+                    .choose(&sys.topo, &ring, bytes, &sys.nccl)
                     .unwrap_or_else(|e| panic!("{e}"));
-                let bc = tuner::choose_broadcast(&sys.topo, &ring, bytes, &sys.nccl)
-                    .unwrap_or_else(|e| panic!("{e}"));
-                (bytes, (ar, bc))
+                (bytes, choice)
             })
             .collect(),
         CommMethod::P2p => BTreeMap::new(),

@@ -377,6 +377,35 @@ fn snapshots_go_stale_when_the_workload_files_change() {
     ));
 }
 
+#[test]
+fn filling_the_tuner_memo_leaves_the_fingerprint_alone() {
+    // The memo lives in the harness's system model, but what it holds
+    // must never make a snapshot look stale.
+    let modern = || {
+        let mut h = Harness::paper();
+        h.sys.nccl.tuning = dgx1_repro::comm::TuningSpace::modern();
+        h
+    };
+    let service = GridService::with_executor(modern(), Executor::Serial);
+    let before = persist::harness_fingerprint(service.base());
+    let cell = Cell {
+        workload: Workload::LeNet.into(),
+        comm: CommMethod::Nccl,
+        batch: 16,
+        gpus: 2,
+        scaling: ScalingMode::Strong,
+        platform: Platform::Dgx1,
+        fault: FaultScenario::Healthy,
+    };
+    service.run_cells(&[cell]);
+    assert!(
+        service.tuner_stats().solves > 0,
+        "the request filled the memo"
+    );
+    assert_eq!(persist::harness_fingerprint(service.base()), before);
+    assert_eq!(persist::harness_fingerprint(&modern()), before);
+}
+
 /// The service_demo request stream: six overlapping sweeps, 72 cells.
 fn demo_stream() -> Vec<GridSpec> {
     vec![

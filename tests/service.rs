@@ -7,6 +7,7 @@
 use std::collections::HashSet;
 use std::sync::{Arc, Barrier};
 
+use dgx1_repro::comm;
 use dgx1_repro::prelude::*;
 use voltascope::grid::{epoch_reports, GridOut};
 
@@ -327,4 +328,76 @@ fn cache_keys_distinguish_platform_and_fault_variants() {
     for (a, b) in reports.iter().zip(again.iter()) {
         assert!(Arc::ptr_eq(a, b));
     }
+}
+
+/// The degraded-DGX-1 what-if grid: every CNN and comm method at batch
+/// 16 on 8 GPUs under every extended fault scenario.
+fn whatif_spec() -> GridSpec {
+    GridSpec::paper()
+        .batches([16])
+        .gpu_counts([8])
+        .faults(FaultScenario::EXTENDED)
+}
+
+/// The calibrated harness with the modern NCCL tuning space set in
+/// code, so the what-if cells simulate tuner candidates.
+fn modern_harness() -> Harness {
+    let mut h = Harness::paper();
+    h.sys.nccl.tuning = comm::TuningSpace::modern();
+    h
+}
+
+#[test]
+fn one_service_tunes_each_whatif_problem_once_and_matches_fresh_harnesses() {
+    let base = modern_harness();
+    let spec = whatif_spec();
+    let service = GridService::with_executor(base.clone(), Executor::from_env());
+    let served = service.sweep_traced(&spec);
+
+    // The straggler scenarios share the healthy fabric, and each
+    // mid-epoch cell tunes the healthy fabric twice: 1,340 lookups
+    // collapse to 242 distinct problems.
+    let tuner = service.tuner_stats();
+    assert_eq!((tuner.lookups, tuner.solves), (1_340, 242));
+
+    // Each cell on its own fresh harness (and so its own memo) gives
+    // the same reports as the shared memo.
+    let cells = spec.cells();
+    let fresh = Executor::from_env().run(cells.len(), |i| {
+        let cell = &cells[i];
+        let mut own = base.clone();
+        own.sys.tuner = Default::default();
+        let harness = voltascope::grid::harness_for(&own, cell.platform, cell.fault);
+        voltascope::grid::cell_report(&harness, &cell.workload.definition(), cell)
+    });
+    assert_eq!(served.cells(), cells.as_slice());
+    for ((cell, s), d) in served.iter().zip(&fresh) {
+        assert_same_report(s, d, cell);
+    }
+
+    // A second service over a clone of the same harness starts with a
+    // fresh memo: nothing the first service solved is reused.
+    let nccl: Vec<Cell> = cells
+        .into_iter()
+        .filter(|c| c.comm == CommMethod::Nccl)
+        .collect();
+    let second = GridService::with_executor(base.clone(), Executor::from_env());
+    second.run_cells(&nccl);
+    let tuner = second.tuner_stats();
+    assert_eq!((tuner.lookups, tuner.solves), (1_340, 242));
+    assert_eq!(service.tuner_stats().solves, 242, "services share no memo");
+}
+
+#[test]
+fn the_paper_space_never_reaches_the_tuner_memo() {
+    let mut h = Harness::paper();
+    h.sys.nccl.tuning = comm::TuningSpace::paper();
+    let service = GridService::with_executor(h, Executor::from_env());
+    experiments::fig3::grid(&service, &Workload::ALL);
+    assert!(service.stats().computed > 0);
+    assert_eq!(
+        service.tuner_stats(),
+        comm::tuner::TunerStats::default(),
+        "the singleton paper space must bypass the memo"
+    );
 }
