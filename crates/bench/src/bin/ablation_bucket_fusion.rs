@@ -2,11 +2,17 @@
 //! threshold and watch the per-key-overhead vs pipelining tradeoff —
 //! the optimisation later popularised by Horovod/DDP, applied to the
 //! paper's platform.
-use voltascope::Harness;
+//!
+//! The fusion threshold is a training-config knob, not a grid-cell
+//! axis, so this binary lowers each workload's registered spec once and
+//! times it directly instead of going through the sweep service.
+use voltascope::{Harness, WorkloadSel};
 use voltascope_comm::CommMethod;
 use voltascope_dnn::zoo::Workload;
 use voltascope_profile::TextTable;
-use voltascope_train::{fuse_buckets, DatasetSpec, ScalingMode, TrainConfig};
+use voltascope_train::{
+    fuse_buckets, simulate_epoch_lowered, DatasetSpec, ScalingMode, TrainConfig,
+};
 
 fn main() {
     let h = Harness::paper();
@@ -19,7 +25,10 @@ fn main() {
         "Epoch (s)",
     ]);
     for workload in [Workload::ResNet, Workload::AlexNet] {
-        let model = workload.build();
+        let lowered = WorkloadSel::from(workload)
+            .definition()
+            .lowered(16)
+            .expect("zoo workloads lower");
         for comm in CommMethod::ALL {
             for (label, fusion) in [
                 ("per-layer", 0u64),
@@ -35,8 +44,8 @@ fn main() {
                     dataset: DatasetSpec::imagenet_256k(),
                     bucket_fusion_bytes: fusion,
                 };
-                let r = h.epoch_cfg(&model, &cfg);
-                let (buckets, _) = fuse_buckets(&model.gradient_buckets(), fusion);
+                let r = simulate_epoch_lowered(&h.sys, &lowered, &cfg);
+                let (buckets, _) = fuse_buckets(&lowered.buckets, fusion);
                 table.row([
                     workload.name().to_string(),
                     comm.name().to_string(),

@@ -2,19 +2,24 @@
 //! parameters, 2.3x AlexNet) pushes the communication-heavy end of the
 //! workload spectrum further — where do the paper's P2P/NCCL
 //! conclusions go as weights keep growing?
-use voltascope::Harness;
+use voltascope::grid::GridSpec;
+use voltascope::WorkloadSel;
 use voltascope_comm::CommMethod;
-use voltascope_dnn::zoo::vgg16;
 use voltascope_profile::TextTable;
-use voltascope_train::ScalingMode;
 
 fn main() {
-    let h = Harness::paper();
-    let model = vgg16();
+    let vgg16 = WorkloadSel::from_name("VGG-16").expect("vgg16.workload is registered");
+    let service = voltascope_bench::service();
+    let spec = GridSpec::paper()
+        .workloads([vgg16])
+        .batches([16])
+        .gpu_counts([1, 2, 4, 8]);
+    let out = service.sweep(&spec);
+    let by = out.index_by(|c| (c.comm, c.gpus));
     let mut table = TextTable::new(["GPUs", "P2P (s)", "NCCL (s)", "WU share P2P (%)"]);
     for gpus in [1usize, 2, 4, 8] {
-        let p2p = h.epoch(&model, 16, gpus, CommMethod::P2p, ScalingMode::Strong);
-        let nccl = h.epoch(&model, 16, gpus, CommMethod::Nccl, ScalingMode::Strong);
+        let p2p = by[&(CommMethod::P2p, gpus)];
+        let nccl = by[&(CommMethod::Nccl, gpus)];
         table.row([
             gpus.to_string(),
             format!("{:.1}", p2p.epoch_time.as_secs_f64()),
@@ -25,9 +30,11 @@ fn main() {
             ),
         ]);
     }
+    let params = vgg16.definition().spec().param_bytes() / 4;
     println!(
         "VGG-16 ({:.0}M params), batch 16/GPU, strong scaling:",
-        model.param_count() as f64 / 1e6
+        params as f64 / 1e6
     );
     voltascope_bench::emit("Extension: VGG-16 training time", &table);
+    voltascope_bench::save_service(&service);
 }

@@ -18,13 +18,11 @@
 //!   the way NCCL's internal cost model does (overridable via
 //!   `VOLTASCOPE_NCCL_PROTO`).
 //!
-//! Each collective exists at two levels:
-//!
-//! 1. A **semantic** level ([`semantic`]) operating on real `f32`
-//!    buffers, so correctness (AllReduce really sums, Broadcast really
-//!    replicates) is testable bit-for-bit.
-//! 2. A **timing** level ([`LinkNetwork`], [`collective`]) that lowers
-//!    transfers onto the discrete-event engine's link resources.
+//! The **timing** level ([`LinkNetwork`], [`collective`]) lowers
+//! transfers onto the discrete-event engine's link resources. A
+//! separate **semantic** ring AllReduce ([`semantic`]) sums real `f32`
+//! buffers for the numeric data-parallel SGD; it shares no code with
+//! the timed collectives.
 //!
 //! # Example
 //!

@@ -1,49 +1,11 @@
-//! Buffer-level collectives: the *semantics* of each communication
-//! primitive, independent of timing.
+//! Buffer-level AllReduce: the *semantics* of NCCL's ring algorithm,
+//! independent of timing.
 //!
-//! These run on plain `f32` slices (one per rank) and are used by
-//! `voltascope-train` to move real gradients and weights between
-//! simulated GPU replicas, so the whole data-parallel pipeline is
-//! numerically testable: an N-GPU training step must produce the same
-//! weights as a single-GPU step on the concatenated batch.
-
-/// Sums every rank's buffer into rank `root` (the first half of
-/// MXNet's parameter-server weight update).
-///
-/// # Panics
-///
-/// Panics if buffers have unequal lengths, `root` is out of range, or
-/// there are no ranks.
-pub fn reduce_to_root(buffers: &mut [Vec<f32>], root: usize) {
-    check(buffers);
-    assert!(root < buffers.len(), "root {root} out of range");
-    for rank in 0..buffers.len() {
-        if rank == root {
-            continue;
-        }
-        let (a, b) = two_mut(buffers, root, rank);
-        for (dst, src) in a.iter_mut().zip(b.iter()) {
-            *dst += *src;
-        }
-    }
-}
-
-/// Copies rank `root`'s buffer to every other rank (NCCL `Broadcast`,
-/// or the parameter server pushing updated weights).
-///
-/// # Panics
-///
-/// Panics if buffers have unequal lengths or `root` is out of range.
-pub fn broadcast(buffers: &mut [Vec<f32>], root: usize) {
-    check(buffers);
-    assert!(root < buffers.len(), "root {root} out of range");
-    let src = buffers[root].clone();
-    for (rank, buf) in buffers.iter_mut().enumerate() {
-        if rank != root {
-            buf.copy_from_slice(&src);
-        }
-    }
-}
+//! It runs on plain `f32` slices (one per rank) and is used by
+//! `voltascope-train` to average real gradients between simulated GPU
+//! replicas, so the numeric data-parallel pipeline is testable: an
+//! N-GPU training step must produce the same weights as a single-GPU
+//! step on the concatenated batch.
 
 /// Ring AllReduce (NCCL's algorithm): reduce-scatter around the ring,
 /// then all-gather, leaving every rank with the elementwise sum.
@@ -118,93 +80,6 @@ pub fn all_reduce_average(buffers: &mut [Vec<f32>]) {
     }
 }
 
-/// Reduce-scatter: after the call, rank `r` holds the complete
-/// elementwise sum of chunk `(r + 1) mod n` (chunk boundaries as in
-/// [`ring_all_reduce`]); the other regions of each buffer hold partial
-/// sums. Returns the per-rank chunk bounds.
-///
-/// # Panics
-///
-/// Panics if buffers have unequal lengths or there are no ranks.
-pub fn reduce_scatter(buffers: &mut [Vec<f32>]) -> Vec<(usize, usize)> {
-    check(buffers);
-    let n = buffers.len();
-    let len = buffers[0].len();
-    let bounds: Vec<(usize, usize)> = (0..n).map(|c| (c * len / n, (c + 1) * len / n)).collect();
-    if n == 1 {
-        return bounds;
-    }
-    for step in 0..n - 1 {
-        for rank in 0..n {
-            let next = (rank + 1) % n;
-            let chunk = (rank + n - step) % n;
-            let (start, end) = bounds[chunk];
-            let (dst, src) = two_mut(buffers, next, rank);
-            for i in start..end {
-                dst[i] += src[i];
-            }
-        }
-    }
-    bounds
-}
-
-/// All-gather: every rank's own chunk (per the [`reduce_scatter`]
-/// bounds) is replicated to all ranks; rank `r` is the authoritative
-/// source for chunk `r + 1 mod n` after a reduce-scatter, but this
-/// standalone version gathers each rank's chunk `r`.
-///
-/// # Panics
-///
-/// Panics if buffers have unequal lengths or there are no ranks.
-pub fn all_gather(buffers: &mut [Vec<f32>]) {
-    check(buffers);
-    let n = buffers.len();
-    let len = buffers[0].len();
-    for owner in 0..n {
-        let start = owner * len / n;
-        let end = (owner + 1) * len / n;
-        let chunk = buffers[owner][start..end].to_vec();
-        for (rank, buf) in buffers.iter_mut().enumerate() {
-            if rank != owner {
-                buf[start..end].copy_from_slice(&chunk);
-            }
-        }
-    }
-}
-
-/// Recursive halving-doubling AllReduce — the other classic
-/// bandwidth-optimal algorithm (used by MPI implementations and NCCL's
-/// tree modes). Requires a power-of-two rank count; produces exactly
-/// the same result as [`ring_all_reduce`] (property-tested).
-///
-/// # Panics
-///
-/// Panics if the rank count is not a power of two, buffers have
-/// unequal lengths, or there are no ranks.
-pub fn halving_doubling_all_reduce(buffers: &mut [Vec<f32>]) {
-    check(buffers);
-    let n = buffers.len();
-    assert!(n.is_power_of_two(), "halving-doubling needs 2^k ranks");
-    if n == 1 {
-        return;
-    }
-    // Recursive distance doubling with full-buffer exchange (the
-    // allreduce variant without scatter; O(log n) rounds).
-    let len = buffers[0].len();
-    let mut distance = 1;
-    while distance < n {
-        // Pairwise exchange-and-sum at the current distance.
-        let snapshot: Vec<Vec<f32>> = buffers.to_vec();
-        for (rank, dst) in buffers.iter_mut().enumerate() {
-            let src = &snapshot[rank ^ distance];
-            for (d, s) in dst.iter_mut().zip(src.iter().take(len)) {
-                *d += s;
-            }
-        }
-        distance *= 2;
-    }
-}
-
 fn check(buffers: &[Vec<f32>]) {
     assert!(!buffers.is_empty(), "collective needs at least one rank");
     let len = buffers[0].len();
@@ -238,24 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_to_root_sums_into_root_only() {
-        let mut bufs = make(3, 4);
-        let before_rank1 = bufs[1].clone();
-        reduce_to_root(&mut bufs, 0);
-        assert_eq!(bufs[0], vec![12.0, 15.0, 18.0, 21.0]);
-        assert_eq!(bufs[1], before_rank1, "non-root buffers unchanged");
-    }
-
-    #[test]
-    fn broadcast_replicates_root() {
-        let mut bufs = make(4, 3);
-        broadcast(&mut bufs, 2);
-        for b in &bufs {
-            assert_eq!(*b, vec![6.0, 7.0, 8.0]);
-        }
-    }
-
-    #[test]
     fn ring_all_reduce_matches_naive_sum() {
         for n in 1..=8 {
             for len in [1usize, 2, 7, 16, 33] {
@@ -280,12 +137,9 @@ mod tests {
     }
 
     #[test]
-    fn single_rank_collectives_are_identity() {
+    fn single_rank_all_reduce_is_identity() {
         let mut bufs = vec![vec![1.0, 2.0, 3.0]];
         ring_all_reduce(&mut bufs);
-        assert_eq!(bufs[0], vec![1.0, 2.0, 3.0]);
-        reduce_to_root(&mut bufs, 0);
-        broadcast(&mut bufs, 0);
         assert_eq!(bufs[0], vec![1.0, 2.0, 3.0]);
     }
 
@@ -294,68 +148,6 @@ mod tests {
     fn unequal_buffers_panic() {
         let mut bufs = vec![vec![1.0], vec![1.0, 2.0]];
         ring_all_reduce(&mut bufs);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_root_panics() {
-        let mut bufs = vec![vec![1.0]];
-        broadcast(&mut bufs, 3);
-    }
-
-    #[test]
-    fn reduce_scatter_owns_summed_chunks() {
-        let mut bufs = make(4, 8);
-        let bounds = reduce_scatter(&mut bufs);
-        assert_eq!(bounds, vec![(0, 2), (2, 4), (4, 6), (6, 8)]);
-        // After the ring reduce-scatter, chunk c is completed at the
-        // rank that receives it last: rank (c - 1) mod n. Equivalently,
-        // rank r owns chunk (r + 1) mod n.
-        for (owner, buf) in bufs.iter().enumerate() {
-            let chunk = (owner + 1) % 4;
-            let (s, e) = bounds[chunk];
-            for (i, &got) in buf.iter().enumerate().take(e).skip(s) {
-                let want: f32 = (0..4).map(|r| (r * 8 + i) as f32).sum();
-                assert_eq!(got, want, "owner {owner} chunk {chunk} idx {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn all_gather_replicates_owned_chunks() {
-        let mut bufs = make(4, 8);
-        let expected: Vec<f32> = (0..8)
-            .map(|i| {
-                let owner = i / 2;
-                (owner * 8 + i) as f32
-            })
-            .collect();
-        all_gather(&mut bufs);
-        for b in &bufs {
-            assert_eq!(*b, expected);
-        }
-    }
-
-    #[test]
-    fn halving_doubling_matches_ring() {
-        for n in [1usize, 2, 4, 8] {
-            let mut a = make(n, 12);
-            let mut b = make(n, 12);
-            ring_all_reduce(&mut a);
-            halving_doubling_all_reduce(&mut b);
-            for (x, y) in a.iter().zip(&b) {
-                for (u, v) in x.iter().zip(y) {
-                    assert!((u - v).abs() < 1e-3, "{u} vs {v} at n={n}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "2^k ranks")]
-    fn halving_doubling_rejects_odd_ranks() {
-        let mut bufs = make(3, 4);
-        halving_doubling_all_reduce(&mut bufs);
     }
 
     proptest! {
@@ -385,23 +177,6 @@ mod tests {
             for b in &bufs {
                 for (got, want) in b.iter().zip(&expect) {
                     prop_assert!((got - want).abs() <= 1e-3 * want.abs().max(1.0));
-                }
-            }
-        }
-
-        /// reduce_to_root + broadcast is equivalent to all_reduce.
-        #[test]
-        fn ps_schedule_equals_all_reduce(n in 2usize..8, len in 1usize..30) {
-            let mut a: Vec<Vec<f32>> = (0..n)
-                .map(|r| (0..len).map(|i| ((r + 1) * (i + 1)) as f32).collect())
-                .collect();
-            let mut b = a.clone();
-            ring_all_reduce(&mut a);
-            reduce_to_root(&mut b, 0);
-            broadcast(&mut b, 0);
-            for (x, y) in a.iter().zip(&b) {
-                for (u, v) in x.iter().zip(y) {
-                    prop_assert!((u - v).abs() < 1e-3 * u.abs().max(1.0));
                 }
             }
         }

@@ -153,6 +153,19 @@ mod tests {
             .collect()
     }
 
+    /// AlexNet's batch-16 NCCL epoch on `gpus` GPUs of `h`'s system
+    /// (which may carry a fault outside the canned scenarios).
+    fn alexnet_nccl_epoch(h: &Harness, gpus: usize) -> f64 {
+        let spec = GridSpec::paper()
+            .workloads([Workload::AlexNet])
+            .comms([CommMethod::Nccl])
+            .batches([16])
+            .gpu_counts([gpus]);
+        epoch_reports(h, &spec, Executor::Serial).values()[0]
+            .epoch_time
+            .as_secs_f64()
+    }
+
     fn epoch_of(rows: &[DegradedRow], w: Workload, c: CommMethod, s: FaultScenario) -> f64 {
         rows.iter()
             .find(|r| r.workload == w && r.comm == c && r.scenario == s)
@@ -213,27 +226,8 @@ mod tests {
                 .with_faults(&FaultSpec::new().kill_link(Device::gpu(3), Device::gpu(5))),
             ..h.clone()
         };
-        let model = Workload::AlexNet.build();
-        let healthy = h
-            .epoch(
-                &model,
-                16,
-                8,
-                CommMethod::Nccl,
-                voltascope_train::ScalingMode::Strong,
-            )
-            .epoch_time
-            .as_secs_f64();
-        let degraded = cut
-            .epoch(
-                &model,
-                16,
-                8,
-                CommMethod::Nccl,
-                voltascope_train::ScalingMode::Strong,
-            )
-            .epoch_time
-            .as_secs_f64();
+        let healthy = alexnet_nccl_epoch(&h, 8);
+        let degraded = alexnet_nccl_epoch(&cut, 8);
         let rel = (degraded - healthy).abs() / healthy;
         assert!(
             rel < 0.02,
@@ -255,27 +249,8 @@ mod tests {
                 .with_faults(&FaultSpec::new().kill_link(Device::gpu(3), Device::gpu(5))),
             ..h.clone()
         };
-        let model = Workload::AlexNet.build();
-        let healthy = h
-            .epoch(
-                &model,
-                16,
-                6,
-                CommMethod::Nccl,
-                voltascope_train::ScalingMode::Strong,
-            )
-            .epoch_time
-            .as_secs_f64();
-        let degraded = cut
-            .epoch(
-                &model,
-                16,
-                6,
-                CommMethod::Nccl,
-                voltascope_train::ScalingMode::Strong,
-            )
-            .epoch_time
-            .as_secs_f64();
+        let healthy = alexnet_nccl_epoch(&h, 6);
+        let degraded = alexnet_nccl_epoch(&cut, 6);
         assert!(
             degraded > healthy * 1.01,
             "6-GPU ring should break: {degraded} vs {healthy}"

@@ -2,25 +2,18 @@
 //!
 //! Both sweeps are declared as [`GridSpec`]s but evaluate a
 //! closed-form memory model, not a simulation, so they walk
-//! [`GridSpec::cells`] on the calling thread.
-
-use std::collections::HashMap;
+//! [`GridSpec::cells`] on the calling thread. The model reads each
+//! cell's registered `.workload` spec, the same file its timing lowers
+//! from.
 
 use voltascope_comm::CommMethod;
 use voltascope_dnn::zoo::Workload;
-use voltascope_dnn::Model;
 use voltascope_profile::TextTable;
 use voltascope_train::GpuRole;
 
 use crate::grid::GridSpec;
 use crate::harness::Harness;
 use crate::workloads::WorkloadSel;
-
-/// Builds each workload's Rust model once: memory accounting reads the
-/// layer graph, which the lowered `.workload` files do not carry.
-fn zoo_models(workloads: &[Workload]) -> HashMap<WorkloadSel, Model> {
-    workloads.iter().map(|&w| (w.into(), w.build())).collect()
-}
 
 /// One row of Table IV.
 #[derive(Debug, Clone)]
@@ -59,22 +52,21 @@ pub fn table4_spec(workloads: &[Workload]) -> GridSpec {
 /// Panics if a workload cannot fit batch 16 on the device (none of the
 /// paper's five can fail this).
 pub fn table4(h: &Harness, workloads: &[Workload]) -> Vec<MemoryRow> {
-    let models = zoo_models(workloads);
     let (gpu, mem) = (&h.sys.gpu, &h.memory);
     table4_spec(workloads)
         .cells()
         .into_iter()
         .map(|cell| {
-            let model = &models[&cell.workload];
+            let spec = cell.workload.resolve().spec();
             let base = mem
-                .usage(model, 16, GpuRole::Worker, gpu)
+                .usage(spec, 16, GpuRole::Worker, gpu)
                 .expect("batch 16 must fit")
                 .training_gib();
             let server = mem
-                .usage(model, cell.batch, GpuRole::Server, gpu)
+                .usage(spec, cell.batch, GpuRole::Server, gpu)
                 .expect("paper batch sizes fit");
             let worker = mem
-                .usage(model, cell.batch, GpuRole::Worker, gpu)
+                .usage(spec, cell.batch, GpuRole::Worker, gpu)
                 .expect("paper batch sizes fit");
             MemoryRow {
                 workload: cell.workload,
@@ -136,13 +128,14 @@ pub fn max_batch_spec(workloads: &[Workload]) -> GridSpec {
 /// Finds the largest trainable batch size per workload (§V-D: 64 for
 /// Inception-v3 and ResNet, 128 for GoogLeNet on the real machine).
 pub fn max_batch(h: &Harness, workloads: &[Workload]) -> Vec<MaxBatchRow> {
-    let models = zoo_models(workloads);
     max_batch_spec(workloads)
         .cells()
         .into_iter()
         .map(|cell| MaxBatchRow {
             workload: cell.workload,
-            max_batch: h.memory.max_batch(&models[&cell.workload], &h.sys.gpu),
+            max_batch: h
+                .memory
+                .max_batch(cell.workload.resolve().spec(), &h.sys.gpu),
         })
         .collect()
 }

@@ -4,11 +4,14 @@
 use voltascope_comm::CommMethod;
 use voltascope_dnn::{zoo::Workload, NetworkStats};
 use voltascope_profile::{render_timeline, TextTable};
-use voltascope_train::ScalingMode;
 
+use crate::grid::GridSpec;
 use crate::harness::Harness;
+use crate::service::GridService;
 
-/// Reproduces Table I: the description of the five networks.
+/// Reproduces Table I: the description of the five networks. The
+/// census counts layer kinds and modules of the built Rust models,
+/// which the `.workload` files do not record.
 pub fn table1(workloads: &[Workload]) -> Vec<NetworkStats> {
     workloads
         .iter()
@@ -39,12 +42,26 @@ pub fn render_table1(stats: &[NetworkStats]) -> TextTable {
     table
 }
 
+/// The single cell Fig. 1 draws: `workload` at batch 16 on `gpus`
+/// GPUs under P2P.
+pub fn fig1_spec(workload: Workload, gpus: usize) -> GridSpec {
+    GridSpec::paper()
+        .workloads([workload])
+        .comms([CommMethod::P2p])
+        .batches([16])
+        .gpu_counts([gpus])
+}
+
 /// Reproduces Fig. 1: an ASCII timeline of one steady-state training
 /// iteration (per-GPU compute streams, host threads, and links).
-pub fn fig1_timeline(h: &Harness, workload: Workload, gpus: usize, width: usize) -> String {
-    let model = workload.build();
-    let report = h.epoch(&model, 16, gpus, CommMethod::P2p, ScalingMode::Strong);
-    render_timeline(&report.iter_trace, width)
+pub fn fig1_timeline(
+    service: &GridService,
+    workload: Workload,
+    gpus: usize,
+    width: usize,
+) -> String {
+    let out = service.sweep_traced(&fig1_spec(workload, gpus));
+    render_timeline(&out.values()[0].iter_trace, width)
 }
 
 /// Reproduces Fig. 2: the DGX-1 connectivity matrix plus a Graphviz
@@ -61,6 +78,7 @@ pub fn fig2_topology(h: &Harness) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::Executor;
 
     #[test]
     fn table1_covers_all_networks() {
@@ -74,8 +92,8 @@ mod tests {
 
     #[test]
     fn fig1_shows_all_four_gpus() {
-        let h = Harness::paper();
-        let art = fig1_timeline(&h, Workload::LeNet, 4, 80);
+        let service = GridService::with_executor(Harness::paper(), Executor::Serial);
+        let art = fig1_timeline(&service, Workload::LeNet, 4, 80);
         for g in 0..4 {
             assert!(art.contains(&format!("GPU{g}.compute")), "missing GPU{g}");
         }

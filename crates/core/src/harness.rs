@@ -1,11 +1,7 @@
 //! The experiment harness: configured system + measurement protocol.
 
-use voltascope_comm::CommMethod;
-use voltascope_dnn::Model;
 use voltascope_sim::{mean_stddev, Jitter};
-use voltascope_train::{
-    simulate_epoch, EpochReport, MemoryModel, ScalingMode, SystemModel, TrainConfig,
-};
+use voltascope_train::{MemoryModel, SystemModel};
 
 use crate::calibration;
 
@@ -20,20 +16,26 @@ pub struct Measurement {
 }
 
 /// The configured experiment harness: the calibrated DGX-1 plus the
-/// paper's measurement protocol.
+/// paper's measurement protocol. Epochs are simulated per grid cell
+/// through a [`crate::service::GridService`] built over a harness.
 ///
 /// # Example
 ///
 /// ```
+/// use voltascope::grid::GridSpec;
+/// use voltascope::service::GridService;
 /// use voltascope::Harness;
 /// use voltascope_comm::CommMethod;
 /// use voltascope_dnn::zoo::Workload;
-/// use voltascope_train::ScalingMode;
 ///
-/// let harness = Harness::paper();
-/// let model = Workload::LeNet.build();
-/// let report = harness.epoch(&model, 64, 4, CommMethod::P2p, ScalingMode::Strong);
-/// let m = harness.measure(report.epoch_time.as_secs_f64(), 42);
+/// let service = GridService::new(Harness::paper());
+/// let spec = GridSpec::paper()
+///     .workloads([Workload::LeNet])
+///     .comms([CommMethod::P2p])
+///     .batches([64])
+///     .gpu_counts([4]);
+/// let report = service.sweep(&spec).values()[0].clone();
+/// let m = service.base().measure(report.epoch_time.as_secs_f64(), 42);
 /// assert!(m.mean_s > 0.0);
 /// assert!(m.stddev_s < m.mean_s);
 /// ```
@@ -63,28 +65,6 @@ impl Harness {
         }
     }
 
-    /// Simulates one epoch and returns the detailed report (no jitter).
-    pub fn epoch(
-        &self,
-        model: &Model,
-        batch: usize,
-        gpus: usize,
-        comm: CommMethod,
-        scaling: ScalingMode,
-    ) -> EpochReport {
-        let cfg = TrainConfig {
-            scaling,
-            ..TrainConfig::strong(batch, gpus, comm)
-        };
-        simulate_epoch(&self.sys, model, &cfg)
-    }
-
-    /// Simulates one epoch with full control over the configuration
-    /// (used by the ablation sweeps, e.g. gradient-bucket fusion).
-    pub fn epoch_cfg(&self, model: &Model, cfg: &TrainConfig) -> EpochReport {
-        simulate_epoch(&self.sys, model, cfg)
-    }
-
     /// Applies the repetition protocol to an epoch time: `reps`
     /// jittered samples, deterministic per configuration.
     pub fn measure(&self, epoch_seconds: f64, config_salt: u64) -> Measurement {
@@ -100,7 +80,6 @@ impl Harness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use voltascope_dnn::zoo::Workload;
 
     #[test]
     fn measurement_protocol_is_deterministic() {
@@ -118,14 +97,5 @@ mod tests {
         let m = h.measure(100.0, 7);
         assert!((m.mean_s - 100.0).abs() < 5.0);
         assert!(m.stddev_s < 6.0);
-    }
-
-    #[test]
-    fn harness_runs_an_epoch() {
-        let h = Harness::paper();
-        let model = Workload::LeNet.build();
-        let r = h.epoch(&model, 16, 2, CommMethod::P2p, ScalingMode::Strong);
-        assert!(r.iterations > 0);
-        assert!(!r.epoch_time.is_zero());
     }
 }

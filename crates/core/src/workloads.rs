@@ -8,9 +8,9 @@
 //! Both kinds time from the registry. A zoo selector resolves to the
 //! registered spec carrying its name, the checked-in file that
 //! `export_workloads` generated from the Rust builder (its `--check`
-//! mode is the gate that keeps file and builder equal). The builders
-//! remain for real numerics, memory experiments and regenerating the
-//! files.
+//! mode is the gate that keeps file and builder equal). The memory
+//! experiments read the same registered specs. The builders remain for
+//! regenerating the files, the Table I census and the real numerics.
 //!
 //! # Registry
 //!

@@ -7,17 +7,20 @@
 //! ([`zoo::lenet`], [`zoo::alexnet`], [`zoo::googlenet`],
 //! [`zoo::inception_v3`], [`zoo::resnet50`]).
 //!
-//! Two audiences use this crate:
+//! The simulator does not read this crate at run time: every grid
+//! cell times from, and the memory model sizes, the checked-in
+//! `.workload` file that `export_workloads` generates from a builder
+//! here (via the *accounting* API — [`Model::layer_info`], parameter
+//! counts, activation footprints, gradient buckets). What still reads
+//! a built [`Model`]:
 //!
-//! * **The simulator** consumes the *accounting* API — parameter
-//!   counts, per-layer FLOPs ([`Model::kernel_profile`]), activation
-//!   footprints, gradient buckets — to schedule kernels and transfers
-//!   with realistic sizes.
-//! * **Tests and the correctness story** use the *execution* API —
-//!   [`Model::forward`], [`Model::backward`],
-//!   [`softmax_cross_entropy`] — so data-parallel training in
-//!   `voltascope-train` computes real gradients whose collective
-//!   reduction can be checked bit-for-bit.
+//! * `export_workloads`, which writes and checks those files;
+//! * the Table I census ([`NetworkStats`]), which counts layer kinds
+//!   and modules the files do not record;
+//! * the *execution* API — [`Model::forward`], [`Model::backward`],
+//!   [`softmax_cross_entropy`] — behind the real-numerics data-parallel
+//!   and asynchronous SGD of `voltascope-train`;
+//! * reference tests pinning the files to the builders.
 //!
 //! # Example
 //!

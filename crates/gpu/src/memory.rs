@@ -19,7 +19,8 @@ static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(0);
 /// and ResNet (§V-D).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OomError {
-    /// Bytes requested (after rounding).
+    /// Bytes requested (after rounding; `u64::MAX` when rounding up
+    /// would overflow).
     pub requested: u64,
     /// Bytes that were still available.
     pub available: u64,
@@ -113,15 +114,19 @@ impl MemoryPool {
     /// Returns [`OomError`] when the allocation would exceed the
     /// device's capacity net of the CUDA context.
     pub fn alloc(&mut self, bytes: u64, label: &str) -> Result<Allocation, OomError> {
-        let rounded = bytes.div_ceil(GRANULARITY) * GRANULARITY;
         let available = self.capacity - self.context - self.current;
-        if rounded > available {
-            return Err(OomError {
-                requested: rounded,
-                available,
-                label: label.to_string(),
-            });
-        }
+        // A request too large to round up can never fit: it reports a
+        // saturated size instead of wrapping to a tiny allocation.
+        let rounded = match bytes.checked_next_multiple_of(GRANULARITY) {
+            Some(rounded) if rounded <= available => rounded,
+            rounded => {
+                return Err(OomError {
+                    requested: rounded.unwrap_or(u64::MAX),
+                    available,
+                    label: label.to_string(),
+                })
+            }
+        };
         self.current += rounded;
         self.peak = self.peak.max(self.current);
         let id = self.next_id;
@@ -207,6 +212,16 @@ mod tests {
         assert_eq!(err.requested, 1024);
         assert_eq!(err.available, 512);
         assert!(err.to_string().contains("too big"));
+    }
+
+    #[test]
+    fn requests_that_cannot_round_up_are_oom() {
+        let mut pool = MemoryPool::new(1 << 20, 0);
+        let err = pool.alloc(u64::MAX - 10, "huge").unwrap_err();
+        assert_eq!(err.requested, u64::MAX);
+        assert_eq!(err.available, 1 << 20);
+        assert_eq!(pool.current_used(), 0);
+        assert_eq!(pool.live_allocations(), 0);
     }
 
     #[test]

@@ -144,75 +144,6 @@ impl SyntheticDataset {
     }
 }
 
-/// A deterministic shuffled index sampler: a pseudo-random permutation
-/// of `0..len` that is cheap to evaluate at any position (no O(n)
-/// state), re-seeded per epoch — the behaviour of MXNet's shuffling
-/// `ImageRecordIter`.
-#[derive(Debug, Clone)]
-pub struct ShuffledSampler {
-    len: usize,
-    seed: u64,
-}
-
-impl ShuffledSampler {
-    /// Creates a sampler over `len` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` is zero.
-    pub fn new(len: usize, seed: u64) -> Self {
-        assert!(len > 0, "cannot sample an empty dataset");
-        ShuffledSampler { len, seed }
-    }
-
-    /// The dataset index at shuffled position `pos` of `epoch`'s
-    /// permutation. Bijective over `0..len` for each epoch (uses a
-    /// Feistel-style cycle-walking permutation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos >= len`.
-    pub fn index(&self, epoch: u64, pos: usize) -> usize {
-        assert!(pos < self.len, "position {pos} out of range");
-        // Cycle-walk a keyed balanced-Feistel bijection over the
-        // smallest even-bit-width power of two covering the dataset.
-        let bits = (usize::BITS - (self.len.max(2) - 1).leading_zeros()) as usize;
-        let half = bits.div_ceil(2).max(1);
-        let half_mask = (1usize << half) - 1;
-        let key = self
-            .seed
-            .wrapping_mul(0x9E3779B97F4A7C15)
-            .wrapping_add(epoch.wrapping_mul(0xD1B54A32D192ED03));
-        let domain = 1usize << (2 * half);
-        debug_assert!(domain >= self.len);
-        let mut x = pos;
-        loop {
-            // Balanced Feistel: equal halves, provably a permutation.
-            let (mut l, mut r) = (x & half_mask, x >> half);
-            for round in 0..4u64 {
-                let f = (r as u64)
-                    .wrapping_mul(0x2545F4914F6CDD1D)
-                    .wrapping_add(key ^ round.wrapping_mul(0x9E3779B97F4A7C15))
-                    as usize;
-                let (nl, nr) = (r, (l ^ f) & half_mask);
-                l = nl;
-                r = nr;
-            }
-            x = (r << half) | l;
-            if x < self.len {
-                return x;
-            }
-        }
-    }
-
-    /// The shuffled mini-batch of dataset indices at `(epoch, batch)`.
-    pub fn batch_indices(&self, epoch: u64, batch: usize, batch_size: usize) -> Vec<usize> {
-        (0..batch_size)
-            .map(|i| self.index(epoch, (batch * batch_size + i) % self.len))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,43 +217,6 @@ mod tests {
             .map(|(x, y)| (x - y).abs())
             .fold(0.0, f32::max);
         assert!(diff < 0.25, "noise too large: {diff}");
-    }
-
-    #[test]
-    fn sampler_is_a_permutation_every_epoch() {
-        for len in [1usize, 2, 7, 16, 100] {
-            let s = ShuffledSampler::new(len, 42);
-            for epoch in 0..3u64 {
-                let mut seen: Vec<usize> = (0..len).map(|p| s.index(epoch, p)).collect();
-                seen.sort_unstable();
-                assert_eq!(
-                    seen,
-                    (0..len).collect::<Vec<_>>(),
-                    "len={len} epoch={epoch}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn different_epochs_shuffle_differently() {
-        let s = ShuffledSampler::new(64, 7);
-        let e0: Vec<usize> = (0..64).map(|p| s.index(0, p)).collect();
-        let e1: Vec<usize> = (0..64).map(|p| s.index(1, p)).collect();
-        assert_ne!(e0, e1);
-        // And the shuffle is not the identity.
-        assert_ne!(e0, (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sampler_batches_cover_the_epoch() {
-        let s = ShuffledSampler::new(40, 3);
-        let mut all = Vec::new();
-        for b in 0..5 {
-            all.extend(s.batch_indices(2, b, 8));
-        }
-        all.sort_unstable();
-        assert_eq!(all, (0..40).collect::<Vec<_>>());
     }
 
     #[test]

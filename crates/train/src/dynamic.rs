@@ -11,7 +11,7 @@
 //!
 //! This module prices that transition. A [`MidEpochFault`] names a
 //! [`FaultSpec`] and the epoch fraction at which it strikes;
-//! [`simulate_epoch_dynamic`] composes three engine runs into a
+//! [`simulate_epoch_dynamic_lowered`] composes three engine runs into a
 //! piecewise epoch:
 //!
 //! 1. the healthy lowering (iterations before the fault),
@@ -32,10 +32,9 @@
 //! multi-leg occupancy the static lowering models, acceptable for the
 //! one transition iteration it is applied to.
 
-use voltascope_dnn::Model;
 use voltascope_sim::{DynamicEvent, DynamicEventKind, ResourceId, SimSpan, SimTime, TaskGraph};
 use voltascope_topo::{FaultSpec, Link, Topology};
-use voltascope_workload::{lower, LoweredWorkload, WorkloadSpec};
+use voltascope_workload::LoweredWorkload;
 
 use crate::epoch::{
     simulate_epoch_lowered, simulate_epoch_lowered_with_events, EpochReport, SystemModel,
@@ -198,29 +197,14 @@ pub fn lower_fault_events(
     events
 }
 
-/// Simulates an epoch through which `fault` strikes mid-way. See the
-/// module docs for the three-piece composition.
+/// Simulates an epoch of an already-lowered workload through which
+/// `fault` strikes mid-way. See the module docs for the three-piece
+/// composition.
 ///
 /// # Panics
 ///
-/// As [`crate::simulate_epoch`], plus the fault-spec validation of
-/// [`Topology::apply`].
-pub fn simulate_epoch_dynamic(
-    sys: &SystemModel,
-    model: &Model,
-    cfg: &TrainConfig,
-    fault: &MidEpochFault,
-) -> DynamicEpochReport {
-    let lowered = lower(&WorkloadSpec::from_model(model), cfg.batch_per_gpu)
-        .unwrap_or_else(|e| panic!("{e}"));
-    simulate_epoch_dynamic_lowered(sys, &lowered, cfg, fault)
-}
-
-/// [`simulate_epoch_dynamic`] from an already-lowered workload.
-///
-/// # Panics
-///
-/// As [`simulate_epoch_dynamic`].
+/// As [`crate::simulate_epoch_lowered`], plus the fault-spec validation
+/// of [`Topology::apply`].
 pub fn simulate_epoch_dynamic_lowered(
     sys: &SystemModel,
     workload: &LoweredWorkload,
@@ -302,6 +286,17 @@ mod tests {
 
     use crate::dataset::{DatasetSpec, ScalingMode};
 
+    fn simulate(
+        sys: &SystemModel,
+        model: &voltascope_dnn::Model,
+        cfg: &TrainConfig,
+        fault: &MidEpochFault,
+    ) -> DynamicEpochReport {
+        use voltascope_workload::{lower, WorkloadSpec};
+        let lowered = lower(&WorkloadSpec::from_model(model), cfg.batch_per_gpu).unwrap();
+        simulate_epoch_dynamic_lowered(sys, &lowered, cfg, fault)
+    }
+
     fn cfg(gpus: usize) -> TrainConfig {
         TrainConfig {
             batch_per_gpu: 16,
@@ -331,7 +326,7 @@ mod tests {
         let sys = SystemModel::dgx1();
         let model = zoo::alexnet();
         let spec = FaultSpec::new().kill_nvlinks_of(Device::gpu(3));
-        let r = simulate_epoch_dynamic(&sys, &model, &cfg(8), &MidEpochFault::new(spec, 0.5));
+        let r = simulate(&sys, &model, &cfg(8), &MidEpochFault::new(spec, 0.5));
         assert!(
             r.degraded.epoch_time > r.healthy.epoch_time,
             "static fault was free"
@@ -360,8 +355,7 @@ mod tests {
         // link that died, and the displaced transfers host-bounce.
         let sys = SystemModel::dgx1();
         let model = zoo::alexnet();
-        let r =
-            simulate_epoch_dynamic(&sys, &model, &cfg(4), &MidEpochFault::new(dead_link(), 0.5));
+        let r = simulate(&sys, &model, &cfg(4), &MidEpochFault::new(dead_link(), 0.5));
         assert_eq!(r.degraded.epoch_time, r.healthy.epoch_time);
         assert!(
             r.transition_iter > r.healthy.iter_time,
@@ -377,8 +371,7 @@ mod tests {
     fn fault_at_zero_equals_the_construction_time_fault() {
         let sys = SystemModel::dgx1();
         let model = zoo::alexnet();
-        let r =
-            simulate_epoch_dynamic(&sys, &model, &cfg(4), &MidEpochFault::new(dead_link(), 0.0));
+        let r = simulate(&sys, &model, &cfg(4), &MidEpochFault::new(dead_link(), 0.0));
         assert_eq!(r.fault_iteration, 0);
         assert_eq!(r.epoch_time, r.degraded.epoch_time);
     }
@@ -387,8 +380,7 @@ mod tests {
     fn fault_past_the_epoch_equals_healthy() {
         let sys = SystemModel::dgx1();
         let model = zoo::alexnet();
-        let r =
-            simulate_epoch_dynamic(&sys, &model, &cfg(4), &MidEpochFault::new(dead_link(), 1.0));
+        let r = simulate(&sys, &model, &cfg(4), &MidEpochFault::new(dead_link(), 1.0));
         assert_eq!(r.epoch_time, r.healthy.epoch_time);
     }
 
@@ -396,7 +388,7 @@ mod tests {
     fn healthy_spec_is_a_no_op_at_any_fraction() {
         let sys = SystemModel::dgx1();
         let model = zoo::lenet();
-        let r = simulate_epoch_dynamic(
+        let r = simulate(
             &sys,
             &model,
             &cfg(2),
@@ -411,7 +403,7 @@ mod tests {
         let sys = SystemModel::dgx1();
         let model = zoo::alexnet();
         let spec = FaultSpec::new().slow_gpu(Device::gpu(1), 1.5);
-        let r = simulate_epoch_dynamic(&sys, &model, &cfg(2), &MidEpochFault::new(spec, 0.5));
+        let r = simulate(&sys, &model, &cfg(2), &MidEpochFault::new(spec, 0.5));
         assert!(r.degraded.iter_time > r.healthy.iter_time);
         assert!(r.epoch_time > r.healthy.epoch_time);
         assert!(r.epoch_time < r.degraded.epoch_time);

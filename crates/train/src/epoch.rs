@@ -18,11 +18,11 @@ use std::collections::BTreeMap;
 
 use voltascope_comm::tuner::TunerMemo;
 use voltascope_comm::{collective, CommMethod, LinkNetwork, ReductionTree, Ring, Selection};
-use voltascope_dnn::{GradientBucket, Model, Stage};
+use voltascope_dnn::{GradientBucket, Stage};
 use voltascope_gpu::{ApiCall, ApiCostModel, GpuSpec, KernelCostModel};
 use voltascope_sim::{DynamicEvent, Engine, ResourceId, SimSpan, TaskGraph, TaskId, Trace};
 use voltascope_topo::{dgx1_v100, Device, FaultSpec, Topology};
-use voltascope_workload::{lower, LoweredWorkload, WorkloadSpec};
+use voltascope_workload::LoweredWorkload;
 
 use crate::dataset::{DatasetSpec, ScalingMode};
 
@@ -217,42 +217,33 @@ impl EpochReport {
     }
 }
 
-/// Simulates one epoch of data-parallel training.
-///
-/// # Panics
-///
-/// Panics if the configuration is degenerate (zero batch/GPUs) or asks
-/// for more GPUs than the topology has.
+/// Simulates one epoch of data-parallel training from a lowered
+/// workload: the kernel/bucket profile a
+/// [`WorkloadSpec`](voltascope_workload::WorkloadSpec) lowers to (see
+/// [`voltascope_workload::lower`]). All pipeline assembly — bucket
+/// fusion, the FP/BP kernel chains, the P2P and NCCL weight-update
+/// schedules — lives here.
 ///
 /// # Example
 ///
 /// ```
 /// use voltascope_comm::CommMethod;
-/// use voltascope_dnn::zoo;
-/// use voltascope_train::{simulate_epoch, SystemModel, TrainConfig};
+/// use voltascope_train::{simulate_epoch_lowered, SystemModel, TrainConfig};
+/// use voltascope_workload::{lower, WorkloadSpec};
 ///
+/// let text = "workload v1\nname Small\ninput 3 224 224\n\
+///             layer conv1 conv 0 2000000000 4000000000 602112 3211264 38720 1\n\
+///             layer fc1 fc 0 8000000 16000000 3211264 4000 4096000 1\nend\n";
+/// let spec = WorkloadSpec::parse(text).unwrap();
 /// let sys = SystemModel::dgx1();
-/// let model = zoo::lenet();
-/// let one = simulate_epoch(&sys, &model, &TrainConfig::strong(16, 1, CommMethod::P2p));
-/// let four = simulate_epoch(&sys, &model, &TrainConfig::strong(16, 4, CommMethod::P2p));
-/// // More GPUs train faster, but sublinearly for tiny LeNet.
-/// assert!(four.epoch_time < one.epoch_time);
-/// assert!(four.epoch_time > one.epoch_time / 4);
+/// let run = |gpus| {
+///     let cfg = TrainConfig::strong(16, gpus, CommMethod::P2p);
+///     simulate_epoch_lowered(&sys, &lower(&spec, 16).unwrap(), &cfg)
+/// };
+/// // More GPUs train faster, but sublinearly: gradients must move.
+/// assert!(run(4).epoch_time < run(1).epoch_time);
+/// assert!(run(4).epoch_time > run(1).epoch_time / 4);
 /// ```
-pub fn simulate_epoch(sys: &SystemModel, model: &Model, cfg: &TrainConfig) -> EpochReport {
-    let lowered = lower(&WorkloadSpec::from_model(model), cfg.batch_per_gpu)
-        .unwrap_or_else(|e| panic!("{e}"));
-    simulate_epoch_lowered(sys, &lowered, cfg)
-}
-
-/// Simulates one epoch of data-parallel training from an
-/// already-lowered workload: the data-driven twin of
-/// [`simulate_epoch`], consuming the kernel/bucket profile a
-/// [`WorkloadSpec`] lowers to. All pipeline assembly — bucket fusion,
-/// the FP/BP kernel chains, the P2P and NCCL weight-update schedules —
-/// lives here; `simulate_epoch` is a thin wrapper that exports its
-/// model with [`WorkloadSpec::from_model`] and lowers that, so both
-/// entry points produce bit-identical reports for equivalent inputs.
 ///
 /// # Panics
 ///
@@ -933,6 +924,15 @@ fn build_nccl_wu(
     done
 }
 
+/// Times a built model through the spec it exports (how the checked-in
+/// zoo `.workload` files are generated), for the tests below.
+#[cfg(test)]
+fn time_model(sys: &SystemModel, model: &voltascope_dnn::Model, cfg: &TrainConfig) -> EpochReport {
+    use voltascope_workload::{lower, WorkloadSpec};
+    let lowered = lower(&WorkloadSpec::from_model(model), cfg.batch_per_gpu).unwrap();
+    simulate_epoch_lowered(sys, &lowered, cfg)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -961,9 +961,9 @@ mod tests {
     fn multi_gpu_reduces_epoch_time() {
         let sys = SystemModel::dgx1();
         let model = zoo::lenet();
-        let r1 = simulate_epoch(&sys, &model, &cfg(16, 1, CommMethod::P2p));
-        let r2 = simulate_epoch(&sys, &model, &cfg(16, 2, CommMethod::P2p));
-        let r4 = simulate_epoch(&sys, &model, &cfg(16, 4, CommMethod::P2p));
+        let r1 = time_model(&sys, &model, &cfg(16, 1, CommMethod::P2p));
+        let r2 = time_model(&sys, &model, &cfg(16, 2, CommMethod::P2p));
+        let r4 = time_model(&sys, &model, &cfg(16, 4, CommMethod::P2p));
         assert!(r2.epoch_time < r1.epoch_time);
         assert!(r4.epoch_time < r2.epoch_time);
         // Sublinear for LeNet: communication cannot be hidden.
@@ -975,9 +975,9 @@ mod tests {
     fn larger_batches_reduce_epoch_time() {
         let sys = SystemModel::dgx1();
         let model = zoo::lenet();
-        let b16 = simulate_epoch(&sys, &model, &cfg(16, 2, CommMethod::P2p));
-        let b32 = simulate_epoch(&sys, &model, &cfg(32, 2, CommMethod::P2p));
-        let b64 = simulate_epoch(&sys, &model, &cfg(64, 2, CommMethod::P2p));
+        let b16 = time_model(&sys, &model, &cfg(16, 2, CommMethod::P2p));
+        let b32 = time_model(&sys, &model, &cfg(32, 2, CommMethod::P2p));
+        let b64 = time_model(&sys, &model, &cfg(64, 2, CommMethod::P2p));
         assert!(b32.epoch_time < b16.epoch_time);
         assert!(b64.epoch_time < b32.epoch_time);
     }
@@ -987,8 +987,8 @@ mod tests {
         // Table II: the NCCL code path is pure overhead at GPU count 1.
         let sys = SystemModel::dgx1();
         let model = zoo::lenet();
-        let p2p = simulate_epoch(&sys, &model, &cfg(16, 1, CommMethod::P2p));
-        let nccl = simulate_epoch(&sys, &model, &cfg(16, 1, CommMethod::Nccl));
+        let p2p = time_model(&sys, &model, &cfg(16, 1, CommMethod::P2p));
+        let nccl = time_model(&sys, &model, &cfg(16, 1, CommMethod::Nccl));
         assert!(nccl.epoch_time > p2p.epoch_time);
     }
 
@@ -996,8 +996,8 @@ mod tests {
     fn wu_exists_only_with_multiple_gpus_meaningfully() {
         let sys = SystemModel::dgx1();
         let model = zoo::lenet();
-        let r1 = simulate_epoch(&sys, &model, &cfg(16, 1, CommMethod::P2p));
-        let r4 = simulate_epoch(&sys, &model, &cfg(16, 4, CommMethod::P2p));
+        let r1 = time_model(&sys, &model, &cfg(16, 1, CommMethod::P2p));
+        let r4 = time_model(&sys, &model, &cfg(16, 4, CommMethod::P2p));
         // Single-GPU WU is just the update kernels: far below FP+BP.
         assert!(r1.wu_iter < r1.fp_bp_iter / 2);
         assert!(r4.wu_iter > r1.wu_iter);
@@ -1007,7 +1007,7 @@ mod tests {
     fn report_identities_hold() {
         let sys = SystemModel::dgx1();
         let model = zoo::lenet();
-        let r = simulate_epoch(&sys, &model, &cfg(32, 2, CommMethod::Nccl));
+        let r = time_model(&sys, &model, &cfg(32, 2, CommMethod::Nccl));
         assert_eq!(r.fp_bp_iter + r.wu_iter, r.iter_time);
         assert!(r.compute_utilization > 0.0 && r.compute_utilization < 1.0);
         assert!(!r.iter_trace.is_empty());
@@ -1021,8 +1021,8 @@ mod tests {
         let model = zoo::lenet();
         let mut weak = cfg(16, 4, CommMethod::P2p);
         weak.scaling = ScalingMode::Weak;
-        let strong = simulate_epoch(&sys, &model, &cfg(16, 4, CommMethod::P2p));
-        let weak = simulate_epoch(&sys, &model, &weak);
+        let strong = time_model(&sys, &model, &cfg(16, 4, CommMethod::P2p));
+        let weak = time_model(&sys, &model, &weak);
         assert_eq!(weak.iterations, strong.iterations * 4);
         assert_eq!(weak.iter_time, strong.iter_time);
     }
@@ -1031,8 +1031,8 @@ mod tests {
     fn simulation_is_deterministic() {
         let sys = SystemModel::dgx1();
         let model = zoo::lenet();
-        let a = simulate_epoch(&sys, &model, &cfg(16, 4, CommMethod::Nccl));
-        let b = simulate_epoch(&sys, &model, &cfg(16, 4, CommMethod::Nccl));
+        let a = time_model(&sys, &model, &cfg(16, 4, CommMethod::Nccl));
+        let b = time_model(&sys, &model, &cfg(16, 4, CommMethod::Nccl));
         assert_eq!(a.epoch_time, b.epoch_time);
         assert_eq!(a.iter_time, b.iter_time);
     }
@@ -1042,7 +1042,7 @@ mod tests {
     fn too_many_gpus_panics() {
         let sys = SystemModel::dgx1();
         let model = zoo::lenet();
-        let _ = simulate_epoch(&sys, &model, &cfg(16, 9, CommMethod::P2p));
+        let _ = time_model(&sys, &model, &cfg(16, 9, CommMethod::P2p));
     }
 
     #[test]
@@ -1050,8 +1050,8 @@ mod tests {
         let sys = SystemModel::dgx1();
         let degraded = sys.with_faults(&FaultSpec::new());
         let model = zoo::lenet();
-        let a = simulate_epoch(&sys, &model, &cfg(16, 4, CommMethod::Nccl));
-        let b = simulate_epoch(&degraded, &model, &cfg(16, 4, CommMethod::Nccl));
+        let a = time_model(&sys, &model, &cfg(16, 4, CommMethod::Nccl));
+        let b = time_model(&degraded, &model, &cfg(16, 4, CommMethod::Nccl));
         assert_eq!(a.epoch_time, b.epoch_time);
         assert_eq!(a.iter_time, b.iter_time);
     }
@@ -1063,8 +1063,8 @@ mod tests {
         let sys = SystemModel::dgx1();
         let slow = sys.with_faults(&FaultSpec::new().slow_gpu(Device::gpu(3), 2.0));
         let model = zoo::alexnet();
-        let healthy = simulate_epoch(&sys, &model, &cfg(16, 4, CommMethod::Nccl));
-        let degraded = simulate_epoch(&slow, &model, &cfg(16, 4, CommMethod::Nccl));
+        let healthy = time_model(&sys, &model, &cfg(16, 4, CommMethod::Nccl));
+        let degraded = time_model(&slow, &model, &cfg(16, 4, CommMethod::Nccl));
         assert!(
             degraded.iter_time > healthy.iter_time,
             "straggler did not slow the iteration: {} vs {}",
@@ -1074,8 +1074,8 @@ mod tests {
         // But nowhere near 2x the whole epoch either: only GPU3's
         // kernels run slow, and a single-GPU run without it is
         // unaffected entirely.
-        let healthy1 = simulate_epoch(&sys, &model, &cfg(16, 1, CommMethod::P2p));
-        let degraded1 = simulate_epoch(&slow, &model, &cfg(16, 1, CommMethod::P2p));
+        let healthy1 = time_model(&sys, &model, &cfg(16, 1, CommMethod::P2p));
+        let degraded1 = time_model(&slow, &model, &cfg(16, 1, CommMethod::P2p));
         assert_eq!(healthy1.epoch_time, degraded1.epoch_time);
     }
 
@@ -1142,7 +1142,7 @@ mod tests {
     fn critical_chain_is_reported_for_the_steady_iteration() {
         let sys = SystemModel::dgx1();
         let model = zoo::lenet();
-        let r = simulate_epoch(&sys, &model, &cfg(16, 2, CommMethod::P2p));
+        let r = time_model(&sys, &model, &cfg(16, 2, CommMethod::P2p));
         assert!(!r.critical_chain.is_empty());
         // Labels are it1-scoped with the prefix stripped.
         assert!(r.critical_chain.iter().all(|l| !l.starts_with("it")));
@@ -1156,8 +1156,8 @@ mod tests {
         let sys = SystemModel::dgx1();
         let dead = sys.with_faults(&FaultSpec::new().kill_nvlinks_of(Device::gpu(3)));
         let model = zoo::alexnet();
-        let healthy = simulate_epoch(&sys, &model, &cfg(16, 8, CommMethod::Nccl));
-        let degraded = simulate_epoch(&dead, &model, &cfg(16, 8, CommMethod::Nccl));
+        let healthy = time_model(&sys, &model, &cfg(16, 8, CommMethod::Nccl));
+        let degraded = time_model(&dead, &model, &cfg(16, 8, CommMethod::Nccl));
         assert!(
             degraded.epoch_time > healthy.epoch_time,
             "dead NVLink interface did not slow NCCL: {} vs {}",
@@ -1197,8 +1197,8 @@ mod fusion_tests {
         // ResNet buckets into a handful must shorten the WU stage.
         let sys = SystemModel::dgx1();
         let model = zoo::resnet50();
-        let per_layer = simulate_epoch(&sys, &model, &cfg_fused_with(0, CommMethod::P2p));
-        let fused = simulate_epoch(&sys, &model, &cfg_fused_with(16 << 20, CommMethod::P2p));
+        let per_layer = time_model(&sys, &model, &cfg_fused_with(0, CommMethod::P2p));
+        let fused = time_model(&sys, &model, &cfg_fused_with(16 << 20, CommMethod::P2p));
         assert!(
             fused.wu_iter < per_layer.wu_iter,
             "fused {} vs per-layer {}",
@@ -1215,8 +1215,8 @@ mod fusion_tests {
         // stage shifts only mildly in either direction.
         let sys = SystemModel::dgx1();
         let model = zoo::resnet50();
-        let per_layer = simulate_epoch(&sys, &model, &cfg_fused(0));
-        let fused = simulate_epoch(&sys, &model, &cfg_fused(16 << 20));
+        let per_layer = time_model(&sys, &model, &cfg_fused(0));
+        let fused = time_model(&sys, &model, &cfg_fused(16 << 20));
         let ratio = fused.wu_iter.as_secs_f64() / per_layer.wu_iter.as_secs_f64();
         assert!(
             (0.5..1.5).contains(&ratio),
@@ -1232,7 +1232,7 @@ mod fusion_tests {
         let sys = SystemModel::dgx1();
         let model = zoo::lenet();
         for fusion in [0u64, 1 << 10, 1 << 20, u64::MAX / 2] {
-            let r = simulate_epoch(&sys, &model, &cfg_fused(fusion));
+            let r = time_model(&sys, &model, &cfg_fused(fusion));
             assert!(!r.epoch_time.is_zero());
         }
     }
@@ -1241,8 +1241,8 @@ mod fusion_tests {
     fn full_fusion_behaves_like_single_bucket() {
         let sys = SystemModel::dgx1();
         let model = zoo::lenet();
-        let one = simulate_epoch(&sys, &model, &cfg_fused(u64::MAX / 2));
-        let per_layer = simulate_epoch(&sys, &model, &cfg_fused(0));
+        let one = time_model(&sys, &model, &cfg_fused(u64::MAX / 2));
+        let per_layer = time_model(&sys, &model, &cfg_fused(0));
         // A single bucket loses all BP/WU pipelining granularity but
         // pays the per-collective overhead once.
         assert_ne!(one.iter_time, per_layer.iter_time);

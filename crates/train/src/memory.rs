@@ -10,9 +10,14 @@
 //!   aggregation and weight staging — which are *batch-independent*,
 //!   which is why GPU0's relative overhead shrinks as the batch grows
 //!   (§V-D).
+//!
+//! The footprint comes from the workload's [`WorkloadSpec`], the same
+//! `.workload` file timing lowers: parameters are the sum of the
+//! layers' `param_bytes`, activations the batch times the sum of their
+//! `out_bytes`.
 
-use voltascope_dnn::Model;
 use voltascope_gpu::{GpuSpec, MemoryPool, OomError};
+use voltascope_workload::WorkloadSpec;
 
 /// Which role a GPU plays in the parameter-server schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +76,7 @@ impl MemoryUsage {
 }
 
 impl MemoryModel {
-    /// Computes the memory usage of one GPU for `model` at the given
+    /// Computes the memory usage of one GPU for `workload` at the given
     /// per-GPU batch size.
     ///
     /// # Errors
@@ -80,13 +85,13 @@ impl MemoryModel {
     /// the condition that capped the paper's batch sizes (§V-D).
     pub fn usage(
         &self,
-        model: &Model,
+        workload: &WorkloadSpec,
         batch: usize,
         role: GpuRole,
         spec: &GpuSpec,
     ) -> Result<MemoryUsage, OomError> {
         let mut pool = MemoryPool::new(spec.memory_bytes, spec.context_bytes);
-        let params = model.param_bytes();
+        let params = workload.param_bytes();
 
         // Pre-training: the model is broadcast to every GPU.
         pool.alloc(params, "weights")?;
@@ -99,7 +104,7 @@ impl MemoryModel {
             pool.alloc(params, "momentum")?;
         }
         let activations =
-            (model.activation_bytes(batch) as f64 * self.activation_multiplier) as u64;
+            (workload.activation_bytes(batch) as f64 * self.activation_multiplier) as u64;
         pool.alloc(activations, "activations+workspace")?;
         if role == GpuRole::Server {
             // Aggregation buffer for incoming gradients + staging copy
@@ -116,11 +121,11 @@ impl MemoryModel {
     /// The largest power-of-two batch size (from 16 doubling upward)
     /// that still fits on the device — how §V-D found 64 to be the cap
     /// for Inception-v3/ResNet and 128 for GoogLeNet.
-    pub fn max_batch(&self, model: &Model, spec: &GpuSpec) -> Option<usize> {
+    pub fn max_batch(&self, workload: &WorkloadSpec, spec: &GpuSpec) -> Option<usize> {
         let mut best = None;
         let mut batch = 16usize;
         while batch <= 1024 {
-            if self.usage(model, batch, GpuRole::Server, spec).is_err() {
+            if self.usage(workload, batch, GpuRole::Server, spec).is_err() {
                 break;
             }
             best = Some(batch);
@@ -139,15 +144,15 @@ mod tests {
     fn server_uses_more_than_worker() {
         let mm = MemoryModel::default();
         let spec = GpuSpec::tesla_v100();
-        let model = zoo::alexnet();
-        let s = mm.usage(&model, 32, GpuRole::Server, &spec).unwrap();
-        let w = mm.usage(&model, 32, GpuRole::Worker, &spec).unwrap();
+        let workload = WorkloadSpec::from_model(&zoo::alexnet());
+        let s = mm.usage(&workload, 32, GpuRole::Server, &spec).unwrap();
+        let w = mm.usage(&workload, 32, GpuRole::Worker, &spec).unwrap();
         assert!(s.training > w.training);
         assert_eq!(s.pre_training, w.pre_training);
         // The gap is two parameter copies (modulo allocator rounding).
         let gap = s.training - w.training;
-        assert!(gap >= 2 * model.param_bytes());
-        assert!(gap < 2 * model.param_bytes() + 2048);
+        assert!(gap >= 2 * workload.param_bytes());
+        assert!(gap < 2 * workload.param_bytes() + 2048);
     }
 
     #[test]
@@ -156,10 +161,10 @@ mod tests {
         // GPU0 decreases with increased batch size."
         let mm = MemoryModel::default();
         let spec = GpuSpec::tesla_v100();
-        let model = zoo::googlenet();
+        let workload = WorkloadSpec::from_model(&zoo::googlenet());
         let pct = |batch| {
-            let s = mm.usage(&model, batch, GpuRole::Server, &spec).unwrap();
-            let w = mm.usage(&model, batch, GpuRole::Worker, &spec).unwrap();
+            let s = mm.usage(&workload, batch, GpuRole::Server, &spec).unwrap();
+            let w = mm.usage(&workload, batch, GpuRole::Worker, &spec).unwrap();
             (s.training - w.training) as f64 / w.training as f64
         };
         assert!(pct(16) > pct(32));
@@ -170,13 +175,13 @@ mod tests {
     fn memory_grows_with_batch_but_sublinearly() {
         let mm = MemoryModel::default();
         let spec = GpuSpec::tesla_v100();
-        let model = zoo::resnet50();
+        let workload = WorkloadSpec::from_model(&zoo::resnet50());
         let m16 = mm
-            .usage(&model, 16, GpuRole::Worker, &spec)
+            .usage(&workload, 16, GpuRole::Worker, &spec)
             .unwrap()
             .training;
         let m64 = mm
-            .usage(&model, 64, GpuRole::Worker, &spec)
+            .usage(&workload, 64, GpuRole::Worker, &spec)
             .unwrap()
             .training;
         assert!(m64 > m16);
@@ -189,9 +194,9 @@ mod tests {
     fn pre_training_is_batch_independent() {
         let mm = MemoryModel::default();
         let spec = GpuSpec::tesla_v100();
-        let model = zoo::lenet();
-        let a = mm.usage(&model, 16, GpuRole::Worker, &spec).unwrap();
-        let b = mm.usage(&model, 64, GpuRole::Worker, &spec).unwrap();
+        let workload = WorkloadSpec::from_model(&zoo::lenet());
+        let a = mm.usage(&workload, 16, GpuRole::Worker, &spec).unwrap();
+        let b = mm.usage(&workload, 64, GpuRole::Worker, &spec).unwrap();
         assert_eq!(a.pre_training, b.pre_training);
     }
 
@@ -199,11 +204,30 @@ mod tests {
     fn oversized_batches_oom() {
         let mm = MemoryModel::default();
         let spec = GpuSpec::tesla_v100();
-        let model = zoo::inception_v3();
+        let workload = WorkloadSpec::from_model(&zoo::inception_v3());
         // Batch 256 per GPU cannot fit Inception-v3 in 16 GB.
-        assert!(mm.usage(&model, 256, GpuRole::Server, &spec).is_err());
-        let cap = mm.max_batch(&model, &spec).unwrap();
+        assert!(mm.usage(&workload, 256, GpuRole::Server, &spec).is_err());
+        let cap = mm.max_batch(&workload, &spec).unwrap();
         assert!(cap < 256);
+    }
+
+    #[test]
+    fn parameter_bytes_near_u64_max_report_no_batch() {
+        // `.workload` files are untrusted: a parameter footprint no
+        // allocation can round up must surface as OOM, not overflow.
+        let gpu = GpuSpec::tesla_v100();
+        let mm = MemoryModel::default();
+        let mut huge = WorkloadSpec::from_model(&zoo::lenet());
+        for l in &mut huge.layers {
+            l.param_bytes = 0;
+        }
+        huge.layers[0].param_bytes = u64::MAX - 10;
+        assert!(mm.usage(&huge, 16, GpuRole::Worker, &gpu).is_err());
+        assert_eq!(mm.max_batch(&huge, &gpu), None);
+        // Two huge layers saturate the sum instead of wrapping it.
+        huge.layers[1].param_bytes = u64::MAX - 10;
+        assert_eq!(huge.param_bytes(), u64::MAX);
+        assert_eq!(mm.max_batch(&huge, &gpu), None);
     }
 
     #[test]

@@ -2,24 +2,23 @@
 
 use voltascope_dnn::{Gradients, Params, Tensor};
 
-/// SGD with classical momentum and weight decay — MXNet's default
-/// optimiser for the paper's image-classification workloads.
+/// SGD with classical momentum — MXNet's default optimiser for the
+/// paper's image-classification workloads.
 ///
-/// Update rule per parameter: `v = m*v + g + wd*w ; w -= lr*v`.
+/// Update rule per parameter: `v = m*v + g ; w -= lr*v`.
 ///
 /// # Example
 ///
 /// ```
 /// use voltascope_train::Sgd;
 ///
-/// let sgd = Sgd::new(0.01).momentum(0.9).weight_decay(1e-4);
+/// let sgd = Sgd::new(0.01).momentum(0.9);
 /// assert_eq!(sgd.learning_rate(), 0.01);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
     momentum: f32,
-    weight_decay: f32,
 }
 
 /// Momentum buffers, one per parameter tensor (lazily shaped on first
@@ -37,11 +36,7 @@ impl Sgd {
     /// Panics unless `lr` is positive and finite.
     pub fn new(lr: f32) -> Self {
         assert!(lr.is_finite() && lr > 0.0, "bad learning rate {lr}");
-        Sgd {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-        }
+        Sgd { lr, momentum: 0.0 }
     }
 
     /// Sets the momentum coefficient.
@@ -52,17 +47,6 @@ impl Sgd {
     pub fn momentum(mut self, m: f32) -> Self {
         assert!((0.0..1.0).contains(&m), "bad momentum {m}");
         self.momentum = m;
-        self
-    }
-
-    /// Sets the L2 weight decay coefficient.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wd` is negative or non-finite.
-    pub fn weight_decay(mut self, wd: f32) -> Self {
-        assert!(wd.is_finite() && wd >= 0.0, "bad weight decay {wd}");
-        self.weight_decay = wd;
         self
     }
 
@@ -90,30 +74,12 @@ impl Sgd {
             let v = &mut state.velocity[slot];
             assert_eq!(v.shape(), p.shape(), "stale optimiser state");
             for i in 0..p.numel() {
-                let grad = g[i] + self.weight_decay * p[i];
-                v[i] = self.momentum * v[i] + grad;
+                v[i] = self.momentum * v[i] + g[i];
                 p[i] -= self.lr * v[i];
             }
             slot += 1;
         }
         assert_eq!(slot, state.velocity.len(), "gradient structure mismatch");
-    }
-
-    /// FLOPs of one update step over `param_count` scalars (used by the
-    /// timing model; the paper notes the WU arithmetic is a trivial
-    /// `Y = aX + B`, §V-C).
-    pub fn step_flops(&self, param_count: u64) -> u64 {
-        // grad + wd*w (2), v = m*v + grad (2), w -= lr*v (2).
-        6 * param_count
-    }
-
-    /// Bytes of optimiser state per parameter byte (momentum buffer).
-    pub fn state_bytes(&self, param_bytes: u64) -> u64 {
-        if self.momentum > 0.0 {
-            param_bytes
-        } else {
-            0
-        }
     }
 }
 
@@ -169,33 +135,6 @@ mod tests {
         let d1 = dist(&w0, &w1);
         let d2 = dist(&w1, &w2);
         assert!(d2 > d1 * 1.5, "momentum not accumulating: {d1} then {d2}");
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights_without_gradient() {
-        let model = zoo::lenet();
-        let mut params = model.init_params(2);
-        let zero_grads = {
-            let x = Tensor::zeros(Shape::new([1, 1, 28, 28]));
-            let acts = model.forward(&params, &x);
-            let mut g = model.backward(&params, &x, &acts, &Tensor::zeros(Shape::new([1, 10])));
-            g.scale(0.0);
-            g
-        };
-        let norm_before: f32 = params.iter().map(|t| t.max_abs()).sum();
-        let sgd = Sgd::new(0.1).weight_decay(0.5);
-        let mut state = SgdState::default();
-        sgd.step(&mut params, &zero_grads, &mut state);
-        let norm_after: f32 = params.iter().map(|t| t.max_abs()).sum();
-        assert!(norm_after < norm_before);
-    }
-
-    #[test]
-    fn flop_and_state_accounting() {
-        let sgd = Sgd::new(0.1).momentum(0.9);
-        assert_eq!(sgd.step_flops(1000), 6000);
-        assert_eq!(sgd.state_bytes(4000), 4000);
-        assert_eq!(Sgd::new(0.1).state_bytes(4000), 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Pipeline-parallel training simulation (GPipe-style schedule).
 //!
-//! Data parallelism ([`crate::simulate_epoch`]) replicates the whole
+//! Data parallelism ([`crate::simulate_epoch_lowered`]) replicates the whole
 //! model per GPU; pipeline parallelism instead places contiguous layer
 //! ranges ("stages") on different GPUs and streams micro-batches
 //! through them. A `.workload` file opts in by declaring an

@@ -3,7 +3,7 @@
 //! The declarative workload layer of the reproduction: a `.workload`
 //! text schema ([`WorkloadSpec::parse`]), the one lowering pass
 //! compiling a spec into the per-layer kernel/bucket profile
-//! `simulate_epoch` executes ([`lower`]), and the [`Definition`]
+//! `simulate_epoch_lowered` executes ([`lower`]), and the [`Definition`]
 //! handle every grid cell times through. A built Rust model enters the
 //! same pass via [`WorkloadSpec::from_model`], the bridge the
 //! checked-in zoo files are exported with.

@@ -36,7 +36,7 @@ pub struct LoweredDag {
 }
 
 /// A workload compiled for one per-GPU batch size: exactly the inputs
-/// `simulate_epoch` consumes when assembling its task graph.
+/// `simulate_epoch_lowered` consumes when assembling its task graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoweredWorkload {
     /// Workload display name.
@@ -109,8 +109,8 @@ pub enum LowerError {
 impl std::fmt::Display for LowerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            // Matches the message `simulate_epoch` has always panicked
-            // with on a zero batch.
+            // Matches the message the epoch simulator asserts on a
+            // zero batch.
             LowerError::ZeroBatch => write!(f, "batch size must be positive"),
             LowerError::EmptyWorkload(w) => write!(f, "workload `{w}` has no layers"),
             LowerError::DuplicateLayerName { workload, layer } => {
@@ -348,9 +348,9 @@ mod tests {
 
     #[test]
     fn model_exports_lower_to_the_builder_profile() {
-        // The load-bearing identity behind `simulate_epoch(&Model)`: a
-        // spec exported from a built model lowers to exactly the
-        // kernels and buckets the model reports, at every batch size
+        // The identity behind the checked-in zoo files: a spec
+        // exported from a built model lowers to exactly the kernels
+        // and buckets the model reports, at every batch size
         // (linearity in batch is exact).
         let models = [
             zoo::lenet(),

@@ -750,9 +750,23 @@ impl WorkloadSpec {
         Ok(preds)
     }
 
-    /// Total parameter bytes across all layers.
+    /// Total parameter bytes across all layers, saturating at
+    /// `u64::MAX` (files are untrusted; a saturated footprint fits no
+    /// device).
     pub fn param_bytes(&self) -> u64 {
-        self.layers.iter().map(|l| l.param_bytes).sum()
+        self.layers
+            .iter()
+            .fold(0, |acc, l| acc.saturating_add(l.param_bytes))
+    }
+
+    /// Bytes of every layer's output activation at `batch` samples,
+    /// saturating like [`WorkloadSpec::param_bytes`]: the footprint the
+    /// memory model of Table IV sizes.
+    pub fn activation_bytes(&self, batch: usize) -> u64 {
+        self.layers
+            .iter()
+            .fold(0u64, |acc, l| acc.saturating_add(l.out_bytes))
+            .saturating_mul(batch as u64)
     }
 
     /// The layers placed on pipeline stage `s`, in forward order.

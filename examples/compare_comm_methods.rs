@@ -12,23 +12,20 @@ fn main() {
         .nth(1)
         .and_then(|n| Workload::from_name(&n))
         .unwrap_or(Workload::LeNet);
-    let harness = Harness::paper();
-    let model = workload.build();
+    let service = GridService::new(Harness::paper());
+    let spec = GridSpec::paper()
+        .workloads([workload])
+        .batches([16])
+        .gpu_counts([1, 2, 4, 8]);
+    let out = service.sweep(&spec);
+    let secs = out.index_by(|c| (c.comm, c.gpus));
+    let secs = |comm, gpus| secs[&(comm, gpus)].epoch_time.as_secs_f64();
 
     let mut table = TextTable::new(["GPUs", "P2P (s)", "NCCL (s)", "Best", "Speedup vs 1 GPU"]);
-    let base = harness
-        .epoch(&model, 16, 1, CommMethod::P2p, ScalingMode::Strong)
-        .epoch_time
-        .as_secs_f64();
+    let base = secs(CommMethod::P2p, 1);
     for gpus in [1usize, 2, 4, 8] {
-        let p2p = harness
-            .epoch(&model, 16, gpus, CommMethod::P2p, ScalingMode::Strong)
-            .epoch_time
-            .as_secs_f64();
-        let nccl = harness
-            .epoch(&model, 16, gpus, CommMethod::Nccl, ScalingMode::Strong)
-            .epoch_time
-            .as_secs_f64();
+        let p2p = secs(CommMethod::P2p, gpus);
+        let nccl = secs(CommMethod::Nccl, gpus);
         let best = if p2p <= nccl { "P2P" } else { "NCCL" };
         table.row([
             gpus.to_string(),

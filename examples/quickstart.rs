@@ -8,19 +8,27 @@
 use dgx1_repro::prelude::*;
 
 fn main() {
-    // The calibrated Volta DGX-1 (8x V100, NVLink hybrid cube-mesh).
-    let harness = Harness::paper();
+    // The calibrated Volta DGX-1 (8x V100, NVLink hybrid cube-mesh),
+    // behind the caching sweep service every experiment uses.
+    let service = GridService::new(Harness::paper());
 
     // GoogLeNet, batch 32 per GPU, 4 GPUs, NCCL collectives.
-    let model = Workload::GoogLeNet.build();
-    let report = harness.epoch(&model, 32, 4, CommMethod::Nccl, ScalingMode::Strong);
+    let spec = GridSpec::paper()
+        .workloads([Workload::GoogLeNet])
+        .comms([CommMethod::Nccl])
+        .batches([32])
+        .gpu_counts([4]);
+    let report = service.sweep(&spec).values()[0].clone();
 
-    println!("workload          : {}", model.name());
+    // The checked-in `.workload` file the cell was timed from.
+    let def = WorkloadSel::from(Workload::GoogLeNet).definition();
+    let lowered = def.lowered(32).expect("zoo workloads lower");
+    println!("workload          : {}", def.name());
     println!(
         "parameters        : {:.1} M",
-        model.param_count() as f64 / 1e6
+        (def.spec().param_bytes() / 4) as f64 / 1e6
     );
-    println!("gradient buckets  : {}", model.gradient_buckets().len());
+    println!("gradient buckets  : {}", lowered.buckets.len());
     println!("iterations/epoch  : {}", report.iterations);
     println!("iteration time    : {}", report.iter_time);
     println!("  FP+BP           : {}", report.fp_bp_iter);

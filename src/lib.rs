@@ -9,9 +9,13 @@
 //! ```
 //! use dgx1_repro::prelude::*;
 //!
-//! let harness = Harness::paper();
-//! let model = Workload::LeNet.build();
-//! let report = harness.epoch(&model, 16, 2, CommMethod::P2p, ScalingMode::Strong);
+//! let service = GridService::new(Harness::paper());
+//! let spec = GridSpec::paper()
+//!     .workloads([Workload::LeNet])
+//!     .comms([CommMethod::P2p])
+//!     .batches([16])
+//!     .gpu_counts([2]);
+//! let report = service.sweep(&spec).values()[0].clone();
 //! assert!(report.iterations > 0);
 //! ```
 
@@ -39,9 +43,9 @@ pub mod prelude {
     pub use voltascope_dnn::{Model, NetworkStats, Shape, Tensor};
     pub use voltascope_profile::{render_timeline, ProfileSummary, TextTable};
     pub use voltascope_train::{
-        simulate_epoch, simulate_epoch_lowered, simulate_pipeline_epoch, AsyncParameterServer,
-        DataParallel, DatasetSpec, EpochReport, GpuRole, MemoryModel, PipelineConfig,
-        PipelineReport, ScalingMode, Sgd, SyntheticDataset, SystemModel, TrainConfig,
+        simulate_epoch_lowered, simulate_pipeline_epoch, AsyncParameterServer, DataParallel,
+        DatasetSpec, EpochReport, GpuRole, MemoryModel, PipelineConfig, PipelineReport,
+        ScalingMode, Sgd, SyntheticDataset, SystemModel, TrainConfig,
     };
     pub use voltascope_workload::{
         lower, Definition, LowerError, LoweredWorkload, ParseError, WorkloadSpec,

@@ -2,15 +2,18 @@
 //! results across runs — the property that makes the reproduction
 //! tables trustworthy.
 
+mod common;
+
+use common::report;
 use dgx1_repro::prelude::*;
 use dgx1_repro::voltascope::grid::epoch_reports;
 
 #[test]
 fn epoch_simulation_is_bit_deterministic() {
     let h = Harness::paper();
-    let model = Workload::GoogLeNet.build();
-    let a = h.epoch(&model, 16, 4, CommMethod::Nccl, ScalingMode::Strong);
-    let b = h.epoch(&model, 16, 4, CommMethod::Nccl, ScalingMode::Strong);
+    let net = Workload::GoogLeNet;
+    let a = report(&h, net, 16, 4, CommMethod::Nccl, ScalingMode::Strong);
+    let b = report(&h, net, 16, 4, CommMethod::Nccl, ScalingMode::Strong);
     assert_eq!(a.epoch_time, b.epoch_time);
     assert_eq!(a.iter_time, b.iter_time);
     assert_eq!(a.fp_bp_iter, b.fp_bp_iter);
@@ -115,9 +118,9 @@ fn jitter_salt_depends_on_cell_not_execution_order() {
 #[test]
 fn traces_are_identical_across_runs() {
     let h = Harness::paper();
-    let model = Workload::LeNet.build();
-    let a = h.epoch(&model, 16, 2, CommMethod::P2p, ScalingMode::Strong);
-    let b = h.epoch(&model, 16, 2, CommMethod::P2p, ScalingMode::Strong);
+    let net = Workload::LeNet;
+    let a = report(&h, net, 16, 2, CommMethod::P2p, ScalingMode::Strong);
+    let b = report(&h, net, 16, 2, CommMethod::P2p, ScalingMode::Strong);
     for (x, y) in a.iter_trace.events().iter().zip(b.iter_trace.events()) {
         assert_eq!(x.label, y.label);
         assert_eq!(x.start, y.start);

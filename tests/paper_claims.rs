@@ -2,10 +2,13 @@
 //! checked end-to-end through the full stack (zoo -> trainer ->
 //! simulator -> profiler). Each test cites the paper section it covers.
 
+mod common;
+
+use common::report;
 use dgx1_repro::prelude::*;
 
 fn epoch_secs(h: &Harness, w: Workload, batch: usize, gpus: usize, comm: CommMethod) -> f64 {
-    h.epoch(&w.build(), batch, gpus, comm, ScalingMode::Strong)
+    report(h, w, batch, gpus, comm, ScalingMode::Strong)
         .epoch_time
         .as_secs_f64()
 }
@@ -99,15 +102,13 @@ fn v_b_large_networks_have_flat_small_overhead() {
     // SS V-B / Table II: for the large networks the overhead varies
     // little with batch size and stays small.
     let h = Harness::paper();
-    let model = Workload::ResNet.build();
+    let net = Workload::ResNet;
     let mut overheads = Vec::new();
     for batch in [16usize, 32, 64] {
-        let p2p = h
-            .epoch(&model, batch, 1, CommMethod::P2p, ScalingMode::Strong)
+        let p2p = report(&h, net, batch, 1, CommMethod::P2p, ScalingMode::Strong)
             .epoch_time
             .as_secs_f64();
-        let nccl = h
-            .epoch(&model, batch, 1, CommMethod::Nccl, ScalingMode::Strong)
+        let nccl = report(&h, net, batch, 1, CommMethod::Nccl, ScalingMode::Strong)
             .epoch_time
             .as_secs_f64();
         overheads.push(100.0 * (nccl - p2p) / p2p);
@@ -129,9 +130,9 @@ fn v_c_fp_bp_dominates_and_wu_scales() {
     // SS V-C: computation dominates training; WU-per-epoch shrinks
     // roughly linearly from 2 to 8 GPUs.
     let h = Harness::paper();
-    let model = Workload::InceptionV3.build();
-    let r2 = h.epoch(&model, 16, 2, CommMethod::Nccl, ScalingMode::Strong);
-    let r8 = h.epoch(&model, 16, 8, CommMethod::Nccl, ScalingMode::Strong);
+    let net = Workload::InceptionV3;
+    let r2 = report(&h, net, 16, 2, CommMethod::Nccl, ScalingMode::Strong);
+    let r8 = report(&h, net, 16, 8, CommMethod::Nccl, ScalingMode::Strong);
     assert!(r2.fp_bp_epoch() > r2.wu_epoch());
     assert!(r8.fp_bp_epoch() > r8.wu_epoch());
     let wu_ratio = r2.wu_epoch().as_secs_f64() / r8.wu_epoch().as_secs_f64();
@@ -146,8 +147,8 @@ fn v_c_single_gpu_wu_is_far_below_fp_bp() {
     // SS V-C: single-GPU WU is a simple elementwise update, far below
     // FP+BP ("nearly two orders of magnitude lower").
     let h = Harness::paper();
-    let model = Workload::ResNet.build();
-    let r = h.epoch(&model, 32, 1, CommMethod::P2p, ScalingMode::Strong);
+    let net = Workload::ResNet;
+    let r = report(&h, net, 32, 1, CommMethod::P2p, ScalingMode::Strong);
     let ratio = r.fp_bp_iter.as_secs_f64() / r.wu_iter.as_secs_f64();
     assert!(ratio > 10.0, "FP+BP only {ratio:.1}x WU on one GPU");
 }
@@ -170,14 +171,12 @@ fn v_e_weak_scaling_amortises_fixed_overheads() {
     // SS V-E: normalised to 256K images, weak scaling is at least as
     // good as strong scaling for LeNet (fixed overheads amortise).
     let h = Harness::paper();
-    let model = Workload::LeNet.build();
+    let net = Workload::LeNet;
     for gpus in [2usize, 4, 8] {
-        let strong = h
-            .epoch(&model, 32, gpus, CommMethod::Nccl, ScalingMode::Strong)
+        let strong = report(&h, net, 32, gpus, CommMethod::Nccl, ScalingMode::Strong)
             .epoch_time
             .as_secs_f64();
-        let weak = h
-            .epoch(&model, 32, gpus, CommMethod::Nccl, ScalingMode::Weak)
+        let weak = report(&h, net, 32, gpus, CommMethod::Nccl, ScalingMode::Weak)
             .epoch_time
             .as_secs_f64()
             / gpus as f64;

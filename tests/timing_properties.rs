@@ -2,11 +2,14 @@
 //! invariants that must hold for *any* calibration, not just the
 //! paper's (these guard the model against regressions during tuning).
 
+mod common;
+
+use std::sync::Arc;
+
 use dgx1_repro::prelude::*;
 
-fn report(h: &Harness, batch: usize, gpus: usize, comm: CommMethod) -> EpochReport {
-    let model = Workload::LeNet.build();
-    h.epoch(&model, batch, gpus, comm, ScalingMode::Strong)
+fn report(h: &Harness, batch: usize, gpus: usize, comm: CommMethod) -> Arc<EpochReport> {
+    common::report(h, Workload::LeNet, batch, gpus, comm, ScalingMode::Strong)
 }
 
 #[test]
@@ -79,10 +82,10 @@ fn shares_and_utilisation_are_fractions() {
 fn weak_scaling_never_changes_the_iteration() {
     // Weak scaling only multiplies the iteration count.
     let h = Harness::paper();
-    let model = Workload::LeNet.build();
+    let net = Workload::LeNet;
     for gpus in [2usize, 8] {
-        let strong = h.epoch(&model, 16, gpus, CommMethod::Nccl, ScalingMode::Strong);
-        let weak = h.epoch(&model, 16, gpus, CommMethod::Nccl, ScalingMode::Weak);
+        let strong = common::report(&h, net, 16, gpus, CommMethod::Nccl, ScalingMode::Strong);
+        let weak = common::report(&h, net, 16, gpus, CommMethod::Nccl, ScalingMode::Weak);
         assert_eq!(strong.iter_time, weak.iter_time);
         assert_eq!(weak.iterations, strong.iterations * gpus as u64);
     }

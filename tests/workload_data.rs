@@ -35,6 +35,28 @@ fn zoo_workload_files_match_builder_exports_byte_for_byte() {
     }
 }
 
+#[test]
+fn registered_specs_size_memory_exactly_like_their_builders() {
+    // The memory model of Table IV reads the registered spec: its
+    // saturating sums must equal the builder's accounting, so moving
+    // memory off `Model` cannot move a byte of any golden.
+    for (_, model) in zoo_exports() {
+        let sel = WorkloadSel::from_name(model.name())
+            .unwrap_or_else(|| panic!("{} is not registered", model.name()));
+        let spec = sel.definition();
+        let spec = spec.spec();
+        assert_eq!(spec.param_bytes(), model.param_bytes(), "{}", model.name());
+        for batch in [16usize, 32, 64, 128, 256, 512, 1024] {
+            assert_eq!(
+                spec.activation_bytes(batch),
+                model.activation_bytes(batch),
+                "{} b{batch}",
+                model.name()
+            );
+        }
+    }
+}
+
 /// A generator over valid specs: arbitrary dims, stage axis, and layer
 /// rows (names synthesised by index, so uniqueness holds; stages
 /// reduced modulo the axis, so they are always in range).
